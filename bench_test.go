@@ -12,6 +12,8 @@ package svqact
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -80,14 +82,36 @@ func BenchmarkScaling_FleetThroughput(b *testing.B) { runExperiment(b, "scaling"
 
 // Microbenchmarks of the engine's primitives.
 
+// critBenchSeq numbers every probability BenchmarkScanStatCriticalValue
+// has searched, across all of its b.N rounds, so that no iteration is
+// answered from CriticalValue's process-wide memo.
+var critBenchSeq int
+
+// scanStatSink keeps the compiler from discarding benchmarked calls.
+var scanStatSink float64
+
 func BenchmarkScanStatCriticalValue(b *testing.B) {
-	ps := []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// Vary p slightly so the process-wide memo does not trivialise the
-		// benchmark.
-		p := ps[i%len(ps)] * (1 + float64(i%97)/1e4)
-		scanstat.CriticalValue(50, p, 20, 0.05)
+		// A fresh p on every iteration, spread log-uniformly over the
+		// (1e-6, 1) range SVAQD's grid covers by the golden-ratio sequence:
+		// each call is a cold Naus search, as on a bucket's first miss.
+		critBenchSeq++
+		u := math.Mod(float64(critBenchSeq)*0.6180339887498949, 1)
+		scanStatSink = float64(scanstat.CriticalValue(50, math.Pow(10, -6*u), 20, 0.05))
+	}
+}
+
+// BenchmarkScanStatQ3 times the exact Q3 dynamic program alone at a 50-frame
+// window, across the critical values SVAQD's searches visit.
+func BenchmarkScanStatQ3(b *testing.B) {
+	for _, k := range []int{5, 13, 25} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scanStatSink = scanstat.Q3(k, 50, 0.02)
+			}
+		})
 	}
 }
 

@@ -407,7 +407,7 @@ func (e *Engine) plannerForQuery(q Query, g video.Geometry) *plan.Planner {
 }
 
 // initPred (re)builds the evaluation state for one predicate in a pooled
-// slot: its static critical value and, in Dynamic mode, its kernel
+// slot: in Static mode its critical value at p0, in Dynamic mode its kernel
 // estimator and critical-value cache. Slice capacities and a
 // bandwidth-matching estimator already in the slot are reused. Dynamic
 // critical values are seeded afterwards, in one batch per grid, by
@@ -429,8 +429,8 @@ func (r *Run) initPred(ps *predState, name string, kind PredicateKind, w int, p0
 	}
 	ps.hasBucket = false
 	ps.cache = nil
-	ps.crit = scanstat.CriticalValue(w, p0, cfg.HorizonClips, cfg.Alpha)
 	if r.e.mode != Dynamic {
+		ps.crit = scanstat.CriticalValue(w, p0, cfg.HorizonClips, cfg.Alpha)
 		ps.est = nil
 		return nil
 	}

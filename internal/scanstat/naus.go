@@ -45,6 +45,25 @@ func Q2(k, w int, p float64) float64 {
 // remaining counts (exchangeability of iid trials), and T has iid Bernoulli
 // increments, so the joint survival probability is a small DP over the state
 // (R1_y, V_y, R2_y, T_y) restricted to R1+V <= k-1 and R2+T <= k-1.
+//
+// The state is a dense matrix: rows are the packed pairs (r1, v), columns
+// the packed pairs (r2, t). One step y -> y+1 moves three independent
+// coordinates, and the DP applies them as three sweeps, each a run of
+// contiguous multiply-adds between the two state buffers (m = w-y trials
+// remain undecided in B1 and B2):
+//
+//   - A, over rows: r1 -> r1-1 with probability r1/m (the B1 trial leaving
+//     the window was a success);
+//   - B, rows into the next row: (v, r2) -> (v+1, r2-1) with probability
+//     r2/m (the B2 trial leaving was a success and joins the B1/B2 window
+//     count), killing the path when r1+v+1 > k-1;
+//   - C, within each column block: t -> t+1 with probability p (the
+//     arriving B3 trial was a success), killing the path at the block end,
+//     where r2+t+1 > k-1.
+//
+// Every coordinate moves in exactly one sweep and each kill test sees the
+// coordinates the earlier sweeps already moved, so the kills are exactly
+// "a window reached k" on the step's final state.
 func Q3(k, w int, p float64) float64 {
 	if err := checkArgs(k, w, p); err != nil {
 		panic(err)
@@ -54,79 +73,71 @@ func Q3(k, w int, p float64) float64 {
 	}
 	prior := NewBinom(w, p)
 
-	// pairIdx enumerates pairs (a, b) with a+b <= k-1, a,b >= 0.
-	np := k * (k + 1) / 2
-	pairIdx := func(a, b int) int {
-		// Pairs ordered by a: for fixed a, b in [0, k-1-a].
-		// offset(a) = sum_{i<a} (k-i) = a*k - a(a-1)/2
-		return a*k - a*(a-1)/2 + b
+	// Pairs (a, b) with a+b <= k-1 are packed in order of a, then b: pair
+	// (a, b) sits at off[a]+b, and block a holds the k-a pairs up to off[a+1].
+	off := make([]int, k+1)
+	for a := 0; a < k; a++ {
+		off[a+1] = off[a] + k - a
 	}
-
-	// cur[i1*np+i2]: i1 indexes (r1, v), i2 indexes (r2, t).
+	np := off[k]
 	cur := make([]float64, np*np)
 	next := make([]float64, np*np)
+	row := func(buf []float64, a, b int) []float64 {
+		i := (off[a] + b) * np
+		return buf[i : i+np]
+	}
 
 	// y = 0: v = t = 0, r1 = N1 <= k-1, r2 = N2 <= k-1.
-	for r1 := 0; r1 <= k-1; r1++ {
-		for r2 := 0; r2 <= k-1; r2++ {
-			cur[pairIdx(r1, 0)*np+pairIdx(r2, 0)] = prior.PMF(r1) * prior.PMF(r2)
+	for r1 := 0; r1 < k; r1++ {
+		dst := row(cur, r1, 0)
+		for r2 := 0; r2 < k; r2++ {
+			dst[off[r2]] = prior.PMF(r1) * prior.PMF(r2)
 		}
 	}
 
 	for y := 0; y < w; y++ {
-		m := float64(w - y) // trials remaining in each of B1, B2
-		for i := range next {
-			next[i] = 0
-		}
-		for r1 := 0; r1 <= k-1; r1++ {
-			for v := 0; v+r1 <= k-1; v++ {
-				i1 := pairIdx(r1, v)
-				for r2 := 0; r2 <= k-1; r2++ {
-					for t := 0; t+r2 <= k-1; t++ {
-						pr := cur[i1*np+pairIdx(r2, t)]
-						if pr == 0 {
-							continue
-						}
-						// Probability the leaving B1 trial is a success, given
-						// r1 successes remain among the m undecided trials.
-						a1 := float64(r1) / m
-						a2 := float64(r2) / m
-						for d1 := 0; d1 <= 1; d1++ { // B1 leave success?
-							p1 := a1
-							nr1 := r1 - 1
-							if d1 == 0 {
-								p1, nr1 = 1-a1, r1
-							}
-							if p1 == 0 {
-								continue
-							}
-							for d2 := 0; d2 <= 1; d2++ { // B2 leave success?
-								p2 := a2
-								nr2, nv := r2-1, v+1
-								if d2 == 0 {
-									p2, nr2, nv = 1-a2, r2, v
-								}
-								if p2 == 0 {
-									continue
-								}
-								for d3 := 0; d3 <= 1; d3++ { // B3 arrival success?
-									p3 := p
-									nt := t + 1
-									if d3 == 0 {
-										p3, nt = 1-p, t
-									}
-									if p3 == 0 {
-										continue
-									}
-									if nr1+nv > k-1 || nr2+nt > k-1 {
-										continue // a window reached k: path dies
-									}
-									next[pairIdx(nr1, nv)*np+pairIdx(nr2, nt)] += pr * p1 * p2 * p3
-								}
-							}
-						}
-					}
+		m := float64(w - y)
+		// A: cur -> next.
+		for r1 := 0; r1 < k; r1++ {
+			stay, move := 1-float64(r1)/m, float64(r1+1)/m
+			for v := 0; r1+v < k; v++ {
+				if r1+1+v < k {
+					axpby(row(next, r1, v), stay, row(cur, r1, v), move, row(cur, r1+1, v))
+				} else {
+					scal(row(next, r1, v), stay, row(cur, r1, v))
 				}
+			}
+		}
+		// B: next -> cur.
+		for r1 := 0; r1 < k; r1++ {
+			for v := 0; r1+v < k; v++ {
+				dst, src := row(cur, r1, v), row(next, r1, v)
+				var from []float64 // row (r1, v-1), whose moves land here
+				if v > 0 {
+					from = row(next, r1, v-1)
+				}
+				for r2 := 0; r2 < k; r2++ {
+					stay := 1 - float64(r2)/m
+					lo, hi := off[r2], off[r2+1]
+					if from == nil || r2 == k-1 {
+						scal(dst[lo:hi], stay, src[lo:hi])
+						continue
+					}
+					// Column (r2+1, t) lands on (r2, t) for t < k-1-r2; the
+					// block's last t has no source in block r2+1.
+					axpby(dst[lo:hi-1], stay, src[lo:hi-1], float64(r2+1)/m, from[off[r2+1]:])
+					dst[hi-1] = stay * src[hi-1]
+				}
+			}
+		}
+		// C: cur -> next.
+		q := 1 - p
+		for i := 0; i < np; i++ {
+			dst, src := next[i*np:(i+1)*np], cur[i*np:(i+1)*np]
+			for r2 := 0; r2 < k; r2++ {
+				lo, hi := off[r2], off[r2+1]
+				dst[lo] = q * src[lo]
+				axpby(dst[lo+1:hi], q, src[lo+1:hi], p, src[lo:hi-1])
 			}
 		}
 		cur, next = next, cur
@@ -137,6 +148,23 @@ func Q3(k, w int, p float64) float64 {
 		total += v
 	}
 	return clampProb(total)
+}
+
+// axpby sets d[i] = a*x[i] + b*y[i] over d; x and y must be at least as
+// long as d.
+func axpby(d []float64, a float64, x []float64, b float64, y []float64) {
+	x, y = x[:len(d)], y[:len(d)]
+	for i := range d {
+		d[i] = a*x[i] + b*y[i]
+	}
+}
+
+// scal sets d[i] = a*x[i] over d.
+func scal(d []float64, a float64, x []float64) {
+	x = x[:len(d)]
+	for i := range d {
+		d[i] = a * x[i]
+	}
 }
 
 // Tail returns P(S_w(N) >= k | p, w, L) with N = L*w, the probability that
@@ -208,8 +236,16 @@ type critKey struct {
 }
 
 // CriticalValue returns the smallest k such that
-// P(S_w(N) >= k | p, w, L) <= alpha — the paper's k_crit (Equation 5). The
-// tail is non-increasing in k, so a binary search over [1, w] suffices.
+// P(S_w(N) >= k | p, w, L) <= alpha — the paper's k_crit (Equation 5).
+//
+// The tail is non-increasing in k, so the answer is found by search, run
+// from the bottom so that the exact Q3 program — whose cost grows as k^4 —
+// is only evaluated near the answer. The search first probes k =
+// q3ExactMaxK+1, which is cheap because Q3 there is the Q2²/Q1 estimate: a
+// larger answer is bisected from there, where every probe is cheap. A
+// smaller one is bracketed by galloping up from k = 1 (1, 2, 4, 8, ...)
+// and bisected within the last bracket, so the largest exact Q3 it runs is
+// at most about twice the answer.
 //
 // If even k = w is not significant (the background probability is too high
 // for any in-window count to be surprising) it returns w+1, a sentinel the
@@ -237,12 +273,29 @@ func CriticalValue(w int, p, L, alpha float64) int {
 }
 
 func criticalValueSearch(w int, p, L, alpha float64) int {
-	// Binary search over [1, w+1]; the virtual k = w+1 has tail 0 <= alpha,
-	// so the invariant Tail(hi) <= alpha < Tail(lo-1) always holds.
+	significant := func(k int) bool { return Tail(k, w, p, L) <= alpha }
+	// The answer lies in [lo, hi]: the virtual k = w+1 has tail 0 <= alpha,
+	// and every k below lo is known not to be significant.
 	lo, hi := 1, w+1
+	if probe := q3ExactMaxK + 1; probe < hi {
+		if significant(probe) {
+			hi = probe
+		} else {
+			lo = probe + 1
+		}
+	}
+	if lo == 1 {
+		for k := 1; k < hi; k *= 2 {
+			if significant(k) {
+				hi = k
+				break
+			}
+			lo = k + 1
+		}
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if Tail(mid, w, p, L) <= alpha {
+		if significant(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -349,8 +402,11 @@ func (c *CriticalValues) AtBucket(bucket int) int {
 	if ok {
 		return k
 	}
-	// Compute outside the lock: CriticalValue is itself memoized process-wide,
-	// so a racing duplicate costs one map lookup, not a second Naus search.
+	// Compute outside the lock so a search never blocks readers of other
+	// buckets. Runs that miss the same bucket concurrently each run the
+	// search (CriticalValue's memo only serves the ones that start after it
+	// has stored the value); they store the same k, so a duplicate costs
+	// time, never a different answer.
 	k = CriticalValue(c.w, math.Pow(10, float64(bucket)*c.grid), c.l, c.alpha)
 	c.mu.Lock()
 	c.cache[bucket] = k

@@ -1,8 +1,11 @@
 package scanstat
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 )
@@ -113,6 +116,37 @@ func TestQ3MatchesEnumeration(t *testing.T) {
 				want := exactQ(k, w, 3*w, p)
 				if math.Abs(got-want) > 1e-9 {
 					t.Errorf("Q3(k=%d,w=%d,p=%g) = %v, want %v", k, w, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestQ3MatchesReference pins the row-sweep Q3 to the push-form reference
+// DP, on windows the engine builds and at the edges of the exact regime:
+// k up to q3ExactMaxK, and k > w.
+func TestQ3MatchesReference(t *testing.T) {
+	every := make([]int, 0, q3ExactMaxK+1)
+	for k := 1; k <= q3ExactMaxK; k++ {
+		every = append(every, k)
+	}
+	cases := []struct {
+		w  int
+		ks []int
+		ps []float64
+	}{
+		{3, []int{1, 2, 3, 4}, []float64{1e-6, 0.05, 0.3, 0.9}},
+		{10, []int{1, 2, 3, 5, 8, 10, 11}, []float64{1e-6, 1e-3, 0.05, 0.3, 0.9}},
+		{30, append(every, 31), []float64{1e-4, 0.2}},
+		{50, []int{1, 3, 6, 9, 13, 17, 21, q3ExactMaxK}, []float64{1e-6, 0.02, 0.9}},
+		{100, []int{2, 5, 9}, []float64{1e-6, 1e-3, 0.3}},
+	}
+	for _, c := range cases {
+		for _, k := range c.ks {
+			for _, p := range c.ps {
+				got, want := Q3(k, c.w, p), q3Reference(k, c.w, p)
+				if math.Abs(got-want) > 1e-12*math.Abs(want) {
+					t.Errorf("Q3(k=%d,w=%d,p=%g) = %v, reference %v", k, c.w, p, got, want)
 				}
 			}
 		}
@@ -278,6 +312,68 @@ func TestCriticalValueDefinition(t *testing.T) {
 				t.Errorf("%+v: Tail(k_crit-1=%d) = %v <= alpha, k_crit not minimal", c, k-1, got)
 			}
 		}
+	}
+}
+
+// kcritGolden is testdata/kcrit_golden.json: k_crit on every grid bucket
+// lo..hi (p = 10^(bucket*grid)) for each window SVAQD builds, plus the
+// exact p0 lookups Static mode makes, as computed by the push-form Q3 and
+// the [1, w+1] bisection before the row-sweep kernel and the bottom-up
+// search replaced them.
+type kcritGolden struct {
+	Grid  float64 `json:"grid"`
+	Lo    int     `json:"lo"`
+	Hi    int     `json:"hi"`
+	Grids []struct {
+		W     int     `json:"w"`
+		L     float64 `json:"L"`
+		Alpha float64 `json:"alpha"`
+		K     []int   `json:"k"`
+	} `json:"grids"`
+	Points []struct {
+		W     int     `json:"w"`
+		P     float64 `json:"p"`
+		L     float64 `json:"L"`
+		Alpha float64 `json:"alpha"`
+		K     int     `json:"k"`
+	} `json:"points"`
+}
+
+// TestCriticalValueGolden is the contract of every change to the Naus
+// kernel or the critical-value search: identical k_crit on every bucket of
+// every grid the engine uses.
+func TestCriticalValueGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/kcrit_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g kcritGolden
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Grids) == 0 || len(g.Points) == 0 {
+		t.Fatal("golden table is empty")
+	}
+	for _, c := range g.Points {
+		if got := CriticalValue(c.W, c.P, c.L, c.Alpha); got != c.K {
+			t.Errorf("CriticalValue(%d, %g, %g, %g) = %d, golden %d", c.W, c.P, c.L, c.Alpha, got, c.K)
+		}
+	}
+	// Grids are independent searches; running them in parallel keeps the
+	// test affordable under the race detector.
+	for _, c := range g.Grids {
+		t.Run(fmt.Sprintf("w=%d/L=%g/alpha=%g", c.W, c.L, c.Alpha), func(t *testing.T) {
+			t.Parallel()
+			if len(c.K) != g.Hi-g.Lo+1 {
+				t.Fatalf("%d entries for buckets %d..%d", len(c.K), g.Lo, g.Hi)
+			}
+			cv := NewCriticalValues(c.W, c.L, c.Alpha, g.Grid)
+			for i, want := range c.K {
+				if got := cv.AtBucket(g.Lo + i); got != want {
+					t.Errorf("bucket %d: k_crit = %d, golden %d", g.Lo+i, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -481,4 +577,100 @@ func TestBucketOfContract(t *testing.T) {
 			t.Errorf("AtBucket(BucketOf(%g)) = %d, want At = %d", p, got, want)
 		}
 	}
+}
+
+// q3Reference is the push form of the Q3 dynamic program: every state
+// (r1, v, r2, t) is pushed through the eight outcomes of one step, and a
+// path dies when its final state has a window count of k. It lives in the
+// tests only, as the independent reference Q3's row sweeps are checked
+// against.
+func q3Reference(k, w int, p float64) float64 {
+	if k > w {
+		return 1
+	}
+	prior := NewBinom(w, p)
+
+	// pairIdx enumerates pairs (a, b) with a+b <= k-1, a,b >= 0.
+	np := k * (k + 1) / 2
+	pairIdx := func(a, b int) int {
+		// Pairs ordered by a: for fixed a, b in [0, k-1-a].
+		// offset(a) = sum_{i<a} (k-i) = a*k - a(a-1)/2
+		return a*k - a*(a-1)/2 + b
+	}
+
+	// cur[i1*np+i2]: i1 indexes (r1, v), i2 indexes (r2, t).
+	cur := make([]float64, np*np)
+	next := make([]float64, np*np)
+
+	// y = 0: v = t = 0, r1 = N1 <= k-1, r2 = N2 <= k-1.
+	for r1 := 0; r1 <= k-1; r1++ {
+		for r2 := 0; r2 <= k-1; r2++ {
+			cur[pairIdx(r1, 0)*np+pairIdx(r2, 0)] = prior.PMF(r1) * prior.PMF(r2)
+		}
+	}
+
+	for y := 0; y < w; y++ {
+		m := float64(w - y) // trials remaining in each of B1, B2
+		for i := range next {
+			next[i] = 0
+		}
+		for r1 := 0; r1 <= k-1; r1++ {
+			for v := 0; v+r1 <= k-1; v++ {
+				i1 := pairIdx(r1, v)
+				for r2 := 0; r2 <= k-1; r2++ {
+					for t := 0; t+r2 <= k-1; t++ {
+						pr := cur[i1*np+pairIdx(r2, t)]
+						if pr == 0 {
+							continue
+						}
+						// Probability the leaving B1 trial is a success, given
+						// r1 successes remain among the m undecided trials.
+						a1 := float64(r1) / m
+						a2 := float64(r2) / m
+						for d1 := 0; d1 <= 1; d1++ { // B1 leave success?
+							p1 := a1
+							nr1 := r1 - 1
+							if d1 == 0 {
+								p1, nr1 = 1-a1, r1
+							}
+							if p1 == 0 {
+								continue
+							}
+							for d2 := 0; d2 <= 1; d2++ { // B2 leave success?
+								p2 := a2
+								nr2, nv := r2-1, v+1
+								if d2 == 0 {
+									p2, nr2, nv = 1-a2, r2, v
+								}
+								if p2 == 0 {
+									continue
+								}
+								for d3 := 0; d3 <= 1; d3++ { // B3 arrival success?
+									p3 := p
+									nt := t + 1
+									if d3 == 0 {
+										p3, nt = 1-p, t
+									}
+									if p3 == 0 {
+										continue
+									}
+									if nr1+nv > k-1 || nr2+nt > k-1 {
+										continue // a window reached k: path dies
+									}
+									next[pairIdx(nr1, nv)*np+pairIdx(nr2, nt)] += pr * p1 * p2 * p3
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		cur, next = next, cur
+	}
+
+	total := 0.0
+	for _, v := range cur {
+		total += v
+	}
+	return clampProb(total)
 }

@@ -37,6 +37,14 @@ echo "==> tier-invariance property suite (-race, -count=1)"
 go test -race -count=1 -run 'TierInvariance|InferenceBudget|OfflineIngestIdenticalUnderCascade|ReportUnderConcurrentTierObservation' \
   ./internal/core/ ./internal/rank/ ./internal/plan/
 
+echo "==> critical-value contract (-count=1)"
+# Any change to the Naus kernel or the critical-value search must give
+# identical k_crit on every bucket of every grid the engine builds (the
+# golden table was generated before the row-sweep Q3 and the bottom-up
+# search), and Q3 must still match the push-form reference DP and brute
+# enumeration. Uncached so the contract is checked on every run.
+go test -count=1 -run 'CriticalValueGolden|Q3MatchesReference|Q3MatchesEnumeration' ./internal/scanstat/
+
 echo "==> allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
