@@ -1,10 +1,12 @@
-// Command svq runs a query of the SQL-like dialect against one of the
-// synthetic benchmark datasets, online (SVAQ/SVAQD) or offline (RVAQ),
-// depending on the query.
+// Command svq runs one statement of the SQL-like dialect through the shared
+// statement executor (internal/query), the same one cmd/serve answers
+// /query with: online (SVAQ/SVAQD) or ranked offline (RVAQ), depending on
+// the statement.
 //
-// The PROCESS source names a stream: for -dataset youtube it is a query-set
-// name (q1..q12, all videos of that set concatenated); for -dataset movies
-// it is a movie title (e.g. titanic).
+// The PROCESS source names a stream of the synthetic benchmark datasets: a
+// YouTube query set (q1..q12, the set's videos concatenated) or a movie
+// title (e.g. titanic). Ranked statements ingest their source video by
+// video, or answer from a saved repository with -repo.
 //
 // Examples:
 //
@@ -12,7 +14,7 @@
 //	     obj USING ObjectDetector, act USING ActionRecognizer)
 //	     WHERE act='blowing_leaves' AND obj.include('car')"
 //
-//	svq -dataset movies -query "SELECT MERGE(clipID) AS s, RANK(act, obj)
+//	svq -query "SELECT MERGE(clipID) AS s, RANK(act, obj)
 //	     FROM (PROCESS titanic PRODUCE clipID, obj USING ObjectTracker, act USING ActionRecognizer)
 //	     WHERE act='kissing' AND obj.include('surfboard','boat')
 //	     ORDER BY RANK(act, obj) LIMIT 5"
@@ -69,9 +71,9 @@ import (
 	"svqact/internal/core"
 	"svqact/internal/detect"
 	"svqact/internal/plan"
+	"svqact/internal/query"
 	"svqact/internal/rank"
 	"svqact/internal/sqlq"
-	"svqact/internal/synth"
 )
 
 func main() {
@@ -87,94 +89,138 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "rollout" {
 		os.Exit(runRollout(os.Args[2:]))
 	}
-	var (
-		query   = flag.String("query", "", "SQL-like query (reads stdin when empty)")
-		dataset = flag.String("dataset", "youtube", "dataset: youtube or movies")
-		scale   = flag.Float64("scale", 0.25, "dataset scale relative to the paper")
-		seed    = flag.Int64("seed", 42, "dataset and model seed")
-		algo    = flag.String("algo", "svaqd", "online algorithm: svaq or svaqd")
-		p0      = flag.Float64("p0", 1e-4, "initial background probability")
-		repo    = flag.String("repo", "", "answer ranked queries from a saved repository (built with cmd/ingest) instead of re-ingesting")
-		cascade = flag.Bool("cascade", false, "run the detectors as tiered cascades (recall-complete distilled cheap tier in front of each model)")
-		budget  = flag.Duration("budget", 0, "per-query inference budget (simulated model time); 0 means unlimited. Online queries degrade gracefully past it")
-	)
+	var o options
+	flag.StringVar(&o.query, "query", "", "SQL-like query (reads stdin when empty)")
+	flag.Float64Var(&o.scale, "scale", 0.25, "dataset scale relative to the paper")
+	flag.Int64Var(&o.seed, "seed", 42, "dataset and model seed")
+	flag.StringVar(&o.algo, "algo", "", "online algorithm: svaq or svaqd (default svaqd)")
+	flag.Float64Var(&o.p0, "p0", 1e-4, "initial background probability")
+	flag.StringVar(&o.repo, "repo", "", "answer ranked queries from a saved repository (built with cmd/ingest) instead of re-ingesting")
+	flag.BoolVar(&o.cascade, "cascade", false, "run the detectors as tiered cascades (recall-complete distilled cheap tier in front of each model)")
+	flag.DurationVar(&o.budget, "budget", 0, "per-query inference budget (simulated model time) for basic online statements; 0 means unlimited. Queries degrade gracefully past it")
 	flag.Parse()
-	if err := run(*query, *dataset, *scale, *seed, *algo, *p0, *repo, *cascade, *budget); err != nil {
+	if o.query == "" {
+		data, err := io.ReadAll(os.Stdin)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "svq:", err)
+			os.Exit(1)
+		}
+		o.query = string(data)
+	}
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "svq:", err)
 		os.Exit(1)
 	}
 }
 
-func run(query, dataset string, scale float64, seed int64, algo string, p0 float64, repoDir string, cascade bool, budget time.Duration) error {
-	if query == "" {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return err
-		}
-		query = string(data)
-	}
-	st, err := sqlq.Parse(query)
-	if err != nil {
-		return err
-	}
-	plan, err := st.Plan()
-	if err != nil {
-		return err
-	}
+// options are the statement-running flags.
+type options struct {
+	query   string
+	scale   float64
+	seed    int64
+	algo    string
+	p0      float64
+	repo    string
+	cascade bool
+	budget  time.Duration
+}
 
-	var obj detect.ObjectDetector = detect.NewObjectDetector(detect.MaskRCNN, seed)
-	var act detect.ActionRecognizer = detect.NewActionRecognizer(detect.I3D, seed)
-	if cascade {
-		obj = detect.NewDistilledObjectCascade(obj, detect.DistilledRCNN, seed)
-		act = detect.NewDistilledActionCascade(act, detect.DistilledI3D, seed)
+// run executes one statement and prints its answer.
+func run(w io.Writer, o options) error {
+	var obj detect.ObjectDetector = detect.NewObjectDetector(detect.MaskRCNN, o.seed)
+	var act detect.ActionRecognizer = detect.NewActionRecognizer(detect.I3D, o.seed)
+	if o.cascade {
+		obj = detect.NewDistilledObjectCascade(obj, detect.DistilledRCNN, o.seed)
+		act = detect.NewDistilledActionCascade(act, detect.DistilledI3D, o.seed)
 	}
 	models := detect.NewModels(obj, act)
-	if !plan.Online && repoDir != "" {
-		return runRepo(repoDir, plan.Query, plan.K, plan.Explain)
-	}
-	stream, err := resolveSource(dataset, plan.Source, scale, seed)
+	var meter detect.Meter
+	start := time.Now()
+	p, ans, err := answer(o, models, &meter)
 	if err != nil {
 		return err
 	}
-
-	if !plan.Online {
-		return runOffline(stream, plan.Query, models, plan.K, plan.Explain)
+	elapsed := time.Since(start).Round(time.Millisecond)
+	if p.Online {
+		printOnline(w, p, ans)
+		fmt.Fprintf(w, "engine time %v; inference: %d frames, %d shots (simulated %v)\n",
+			elapsed, meter.ObjectFrames(), meter.ActionShots(), meter.Cost(models).Round(time.Second))
+	} else {
+		printRanked(w, p, ans)
+		fmt.Fprintf(w, "query time %v; %d random accesses, %d sorted accesses, %d clips scored\n",
+			elapsed, ans.Ranked.Stats.Random, ans.Ranked.Stats.Sorted, ans.Ranked.ClipsScored)
 	}
-	if plan.Extended {
-		return runExtended(stream, plan.CNF, models, algo, p0, plan.Explain)
+	if p.Explain {
+		fprintExplain(w, ans.Plan)
 	}
-	return runOnline(stream, plan.Query, models, algo, p0, budget, plan.Explain)
+	return nil
 }
 
-// source is the minimal stream interface the command needs.
-type source interface {
-	detect.TruthVideo
+// answer parses the statement and runs it through the executor, ranked
+// statements against the -repo repository when one is given.
+func answer(o options, models detect.Models, meter *detect.Meter) (sqlq.Plan, query.Answer, error) {
+	st, err := sqlq.Parse(o.query)
+	if err != nil {
+		return sqlq.Plan{}, query.Answer{}, err
+	}
+	p, err := st.Plan()
+	if err != nil {
+		return sqlq.Plan{}, query.Answer{}, err
+	}
+	cfg := core.DefaultConfig()
+	cfg.P0Object, cfg.P0Action = o.p0, o.p0
+	cfg.Meter = meter
+	exec := query.New(query.Config{Models: models, Engine: cfg, Scale: o.scale, Seed: o.seed})
+	req := query.Request{Algo: o.algo, Budget: o.budget}
+	if !p.Online && o.repo != "" {
+		repo, err := rank.OpenRepository(o.repo)
+		if err != nil {
+			return p, query.Answer{}, err
+		}
+		defer repo.Close()
+		if req.Index, err = repo.Merged(); err != nil {
+			return p, query.Answer{}, err
+		}
+	}
+	ans, err := exec.Execute(context.Background(), p, req)
+	return p, ans, err
 }
 
-func resolveSource(dataset, name string, scale float64, seed int64) (source, error) {
-	switch dataset {
-	case "youtube":
-		d := synth.YouTube(synth.Options{Scale: scale, Seed: seed})
-		spec := d.Query(name)
-		if spec == nil {
-			return nil, fmt.Errorf("unknown youtube query set %q (use q1..q12)", name)
+func printOnline(w io.Writer, p sqlq.Plan, ans query.Answer) {
+	if p.Extended {
+		fmt.Fprintf(w, "%s (extended) over %s: query %s, %d clips\n", ans.Mode, p.Source, p.CNF, ans.NumClips)
+	} else {
+		fmt.Fprintf(w, "%s over %s: query %s, %d clips\n", ans.Mode, p.Source, p.Query, ans.NumClips)
+	}
+	fmt.Fprintf(w, "result sequences (%d):\n", len(ans.Sequences))
+	for _, s := range ans.Sequences {
+		fmt.Fprintf(w, "  clips %4d..%-4d  frames %6d..%-6d\n", s.StartClip, s.EndClip, s.StartFrame, s.EndFrame)
+	}
+	var stats []core.PredicateStats
+	kind := "predicate"
+	if ans.Online != nil {
+		stats = ans.Online.Predicates
+	} else {
+		stats, kind = ans.CNF.Atoms, "atom"
+	}
+	for _, ps := range stats {
+		fmt.Fprintf(w, "%s %-24s background=%.2e k_crit=%d positive clips=%d\n",
+			kind, ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
+	}
+}
+
+func printRanked(w io.Writer, p sqlq.Plan, ans query.Answer) {
+	var q fmt.Stringer = p.Query
+	if p.Extended {
+		q = p.CNF
+	}
+	fmt.Fprintf(w, "%s top-%d for %s over %s (%d candidate sequences):\n", ans.Mode, ans.K, q, p.Source, ans.Candidates)
+	for i, s := range ans.Sequences {
+		fmt.Fprintf(w, "  #%-2d score %10.2f  %s clips %d..%d", i+1, s.Score, s.Video, s.StartClip, s.EndClip)
+		if s.EndFrame > 0 {
+			fmt.Fprintf(w, "  frames %d..%d", s.StartFrame, s.EndFrame)
 		}
-		var vids []*synth.Video
-		for _, v := range d.Videos {
-			if !v.ActionPresence(spec.Action).Empty() {
-				vids = append(vids, v)
-			}
-		}
-		return synth.NewConcat(name, vids)
-	case "movies":
-		d := synth.Movies(synth.Options{Scale: scale, Seed: seed})
-		v := d.Video(name)
-		if v == nil {
-			return nil, fmt.Errorf("unknown movie %q", name)
-		}
-		return v, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
+		fmt.Fprintln(w)
 	}
 }
 
@@ -236,91 +282,6 @@ func fprintExplain(w io.Writer, rep *plan.Report) {
 				t.Name, t.UnitCostMS, t.Units, t.Escalated, t.EscalationRate, t.SpentMS)
 		}
 	}
-}
-
-func runOnline(stream source, q core.Query, models detect.Models, algo string, p0 float64, budget time.Duration, explain bool) error {
-	cfg := core.DefaultConfig()
-	cfg.P0Object, cfg.P0Action = p0, p0
-	cfg.InferenceBudget = budget
-	var eng *core.Engine
-	var err error
-	switch algo {
-	case "svaq":
-		eng, err = core.NewSVAQ(models, cfg)
-	case "svaqd":
-		eng, err = core.NewSVAQD(models, cfg)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	if err != nil {
-		return err
-	}
-	var meter detect.Meter
-	eng.SetMeter(&meter)
-	start := time.Now()
-	res, err := eng.Run(context.Background(), stream, q)
-	if err != nil {
-		return err
-	}
-	g := stream.Geometry()
-	fmt.Printf("%s over %s: query %s, %d clips\n", eng.Mode(), stream.ID(), q, res.NumClips)
-	fmt.Printf("result sequences (%d):\n", res.Sequences.NumIntervals())
-	for _, iv := range res.Sequences.Intervals() {
-		fr := g.FrameRangeOfClips(iv)
-		fmt.Printf("  clips %4d..%-4d  frames %6d..%-6d\n", iv.Start, iv.End, fr.Start, fr.End)
-	}
-	for _, ps := range res.Predicates {
-		fmt.Printf("predicate %-16s background=%.2e k_crit=%d positive clips=%d\n",
-			ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
-	}
-	fmt.Printf("engine time %v; inference: %d frames, %d shots (simulated %v)\n",
-		time.Since(start).Round(time.Millisecond),
-		meter.ObjectFrames(), meter.ActionShots(), meter.Cost(models).Round(time.Second))
-	if explain {
-		printExplain(res.Plan)
-	}
-	return nil
-}
-
-func runExtended(stream source, q core.CNF, models detect.Models, algo string, p0 float64, explain bool) error {
-	cfg := core.DefaultConfig()
-	cfg.P0Object, cfg.P0Action = p0, p0
-	var eng *core.Engine
-	var err error
-	switch algo {
-	case "svaq":
-		eng, err = core.NewSVAQ(models, cfg)
-	case "svaqd":
-		eng, err = core.NewSVAQD(models, cfg)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := eng.RunCNF(context.Background(), stream, q)
-	if err != nil {
-		return err
-	}
-	g := stream.Geometry()
-	fmt.Printf("%s (extended) over %s: query %s, %d clips\n", eng.Mode(), stream.ID(), q, res.NumClips)
-	fmt.Printf("result sequences (%d):\n", res.Sequences.NumIntervals())
-	for _, iv := range res.Sequences.Intervals() {
-		fr := g.FrameRangeOfClips(iv)
-		fmt.Printf("  clips %4d..%-4d  frames %6d..%-6d\n", iv.Start, iv.End, fr.Start, fr.End)
-	}
-	for _, ps := range res.Atoms {
-		fmt.Printf("atom %-24s background=%.2e k_crit=%d positive clips=%d\n",
-			ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
-	}
-	fmt.Printf("engine time %v\n", time.Since(start).Round(time.Millisecond))
-	if explain {
-		// The streaming CNF evaluator schedules clause-at-a-time and does
-		// not (yet) run through the plan layer.
-		printExplain(nil)
-	}
-	return nil
 }
 
 // runFsck verifies one or more repository (or single-index) directories and
@@ -407,61 +368,4 @@ func fsckDir(dir string) ([]*rank.FsckReport, error) {
 		}
 	}
 	return rank.FsckRepository(dir)
-}
-
-// runRepo answers a ranked query from an already-ingested repository.
-func runRepo(dir string, q core.Query, k int, explain bool) error {
-	repo, err := rank.OpenRepository(dir)
-	if err != nil {
-		return err
-	}
-	defer repo.Close()
-	fmt.Printf("repository %s: %d videos\n", dir, len(repo.Videos()))
-	start := time.Now()
-	res, err := repo.TopK(context.Background(), q, k, rank.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("RVAQ top-%d for %s (%d candidate sequences):\n", k, q, res.Candidates)
-	for i, sr := range res.Sequences {
-		vid, local, err := repo.Resolve(sr.Seq.Start)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  #%-2d score %10.2f  %s clips %d..%d\n",
-			i+1, sr.Score(), vid, local, local+sr.Seq.Len()-1)
-	}
-	fmt.Printf("query time %v; %d random accesses\n",
-		time.Since(start).Round(time.Millisecond), res.Stats.Random)
-	if explain {
-		printExplain(res.Plan)
-	}
-	return nil
-}
-
-func runOffline(stream source, q core.Query, models detect.Models, k int, explain bool) error {
-	fmt.Printf("ingesting %s ...\n", stream.ID())
-	ix, err := rank.Ingest(context.Background(), stream, models, rank.PaperScoring(), rank.DefaultIngestConfig())
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := rank.RVAQ(context.Background(), ix, q, k, rank.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("RVAQ top-%d for %s over %s (%d candidate sequences):\n",
-		k, q, stream.ID(), res.Candidates)
-	g := stream.Geometry()
-	for i, sr := range res.Sequences {
-		fr := g.FrameRangeOfClips(sr.Seq)
-		fmt.Printf("  #%-2d score %10.2f  clips %4d..%-4d  frames %6d..%-6d\n",
-			i+1, sr.Score(), sr.Seq.Start, sr.Seq.End, fr.Start, fr.End)
-	}
-	fmt.Printf("query time %v; %d random accesses, %d sorted accesses, %d clips scored\n",
-		time.Since(start).Round(time.Millisecond), res.Stats.Random, res.Stats.Sorted, res.ClipsScored)
-	if explain {
-		printExplain(res.Plan)
-	}
-	return nil
 }

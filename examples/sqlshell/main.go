@@ -1,6 +1,7 @@
 // Sqlshell: an interactive loop for the paper's SQL-like dialect over the
-// YouTube benchmark. Each statement is parsed, planned, and executed —
-// streaming (SVAQD) or top-k (RVAQ) depending on whether it ranks.
+// benchmark datasets. Each statement is parsed, planned, and run through
+// the shared statement executor — streaming (SVAQD) or top-k (RVAQ)
+// depending on whether it ranks.
 //
 //	go run ./examples/sqlshell
 //	svq> SELECT MERGE(clipID) AS s FROM (PROCESS q2 PRODUCE clipID,
@@ -12,122 +13,84 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
 	"svqact/internal/core"
 	"svqact/internal/detect"
-	"svqact/internal/rank"
+	"svqact/internal/query"
 	"svqact/internal/sqlq"
-	"svqact/internal/synth"
 )
 
 func main() {
-	fmt.Println("loading youtube benchmark (scale 0.15)...")
-	dataset := synth.YouTube(synth.Options{Scale: 0.15, Seed: 42})
-	models := detect.NewModels(
-		detect.NewObjectDetector(detect.MaskRCNN, 42),
-		detect.NewActionRecognizer(detect.I3D, 42),
-	)
-	fmt.Println("sources: q1..q12 (each the concatenated videos of one query set)")
+	fmt.Println("benchmark datasets at scale 0.15")
+	fmt.Println("sources: q1..q12 (each the concatenated videos of one query set) and the movie titles")
 	fmt.Println("end statements with a blank line; ctrl-D exits")
+	shell(os.Stdin, os.Stdout, newExecutor())
+}
 
-	scanner := bufio.NewScanner(os.Stdin)
+func newExecutor() *query.Executor {
+	return query.New(query.Config{
+		Models: detect.NewModels(
+			detect.NewObjectDetector(detect.MaskRCNN, 42),
+			detect.NewActionRecognizer(detect.I3D, 42),
+		),
+		Engine: core.DefaultConfig(),
+		Scale:  0.15,
+		Seed:   42,
+	})
+}
+
+// shell reads blank-line-terminated statements from in and prints each
+// answer, or its error, to out.
+func shell(in io.Reader, out io.Writer, exec *query.Executor) {
+	scanner := bufio.NewScanner(in)
 	var buf strings.Builder
-	fmt.Print("svq> ")
+	fmt.Fprint(out, "svq> ")
 	for scanner.Scan() {
 		line := scanner.Text()
 		if strings.TrimSpace(line) != "" {
 			buf.WriteString(line)
 			buf.WriteByte('\n')
-			fmt.Print("...> ")
+			fmt.Fprint(out, "...> ")
 			continue
 		}
 		stmt := strings.TrimSpace(buf.String())
 		buf.Reset()
 		if stmt != "" {
-			if err := execute(stmt, dataset, models); err != nil {
-				fmt.Println("error:", err)
+			if err := runStatement(out, exec, stmt); err != nil {
+				fmt.Fprintln(out, "error:", err)
 			}
 		}
-		fmt.Print("svq> ")
+		fmt.Fprint(out, "svq> ")
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func execute(stmt string, dataset *synth.Dataset, models detect.Models) error {
+func runStatement(out io.Writer, exec *query.Executor, stmt string) error {
 	st, err := sqlq.Parse(stmt)
 	if err != nil {
 		return err
 	}
-	plan, err := st.Plan()
+	p, err := st.Plan()
 	if err != nil {
 		return err
 	}
-	spec := dataset.Query(plan.Source)
-	if spec == nil {
-		return fmt.Errorf("unknown source %q (use q1..q12)", plan.Source)
-	}
-	var vids []*synth.Video
-	for _, v := range dataset.Videos {
-		if !v.ActionPresence(spec.Action).Empty() {
-			vids = append(vids, v)
-		}
-	}
-	stream, err := synth.NewConcat(plan.Source, vids)
+	ans, err := exec.Execute(context.Background(), p, query.Request{})
 	if err != nil {
 		return err
 	}
-
-	if plan.Online {
-		eng, err := core.NewSVAQD(models, core.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if plan.Extended {
-			res, err := eng.RunCNF(context.Background(), stream, plan.CNF)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("extended query %s: %d result sequences over %d clips:\n",
-				plan.CNF, res.Sequences.NumIntervals(), res.NumClips)
-			for _, iv := range res.Sequences.Intervals() {
-				fmt.Printf("  clips %4d..%-4d\n", iv.Start, iv.End)
-			}
-			return nil
-		}
-		res, err := eng.Run(context.Background(), stream, plan.Query)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d result sequences over %d clips:\n", res.Sequences.NumIntervals(), res.NumClips)
-		for _, iv := range res.Sequences.Intervals() {
-			fmt.Printf("  clips %4d..%-4d\n", iv.Start, iv.End)
+	if p.Online {
+		fmt.Fprintf(out, "%s: %d result sequences over %d clips:\n", ans.Mode, len(ans.Sequences), ans.NumClips)
+		for _, s := range ans.Sequences {
+			fmt.Fprintf(out, "  clips %4d..%-4d\n", s.StartClip, s.EndClip)
 		}
 		return nil
 	}
-
-	fmt.Printf("ingesting %s for offline processing...\n", plan.Source)
-	var tvs []detect.TruthVideo
-	for _, v := range vids {
-		tvs = append(tvs, v)
-	}
-	ix, err := rank.IngestAll(context.Background(), plan.Source, tvs, models, rank.PaperScoring(), rank.DefaultIngestConfig())
-	if err != nil {
-		return err
-	}
-	res, err := rank.RVAQ(context.Background(), ix, plan.Query, plan.K, rank.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("top-%d of %d candidates (%d random accesses):\n", plan.K, res.Candidates, res.Stats.Random)
-	for i, sr := range res.Sequences {
-		vid, local := ix.Resolve(sr.Seq.Start)
-		fmt.Printf("  #%d score %9.2f  %s clip %d (global %d..%d)\n",
-			i+1, sr.Score(), vid, local, sr.Seq.Start, sr.Seq.End)
+	fmt.Fprintf(out, "%s top-%d of %d candidates (%d random accesses):\n", ans.Mode, ans.K, ans.Candidates, ans.RandomAccesses)
+	for i, s := range ans.Sequences {
+		fmt.Fprintf(out, "  #%d score %9.2f  %s clips %d..%d\n", i+1, s.Score, s.Video, s.StartClip, s.EndClip)
 	}
 	return nil
 }
-
-var _ = log.Fatal

@@ -7,17 +7,20 @@ import (
 	"sync/atomic"
 
 	"svqact/internal/obs"
+	"svqact/internal/query"
 	"svqact/internal/rank"
 	"svqact/internal/sqlq"
 )
 
 // LocalBackend serves one shard from an in-process rank.Index — the test
 // harness's replica, and the embedded single-process cluster mode. It
-// implements the same ranked contract as a cmd/serve -repo process:
-// offline statements only, honouring the coordinator's K override, and
-// reporting Truncated/ResidualUpper for the distributed threshold.
+// answers through the same executor as a cmd/serve -repo -shard-name
+// process: offline statements only, honouring the coordinator's K
+// override, answering vocabulary misses empty, and reporting
+// Truncated/ResidualUpper for the distributed threshold.
 type LocalBackend struct {
 	name string
+	exec *query.Executor
 
 	// state is the serving (generation, index) pair, swapped atomically so
 	// every query sees one consistent generation; staged is the next pair a
@@ -37,7 +40,7 @@ type localState struct {
 // NewLocalBackend wraps a merged shard index. gen is reported as the
 // serving generation.
 func NewLocalBackend(name string, gen int, ix *rank.Index) *LocalBackend {
-	b := &LocalBackend{name: name}
+	b := &LocalBackend{name: name, exec: query.New(query.Config{Shard: true})}
 	b.state.Store(&localState{gen: gen, ix: ix})
 	return b
 }
@@ -114,23 +117,11 @@ func (b *LocalBackend) Query(ctx context.Context, req Request) (*Response, error
 	if plan.Online {
 		return nil, &BadRequestError{Msg: "cluster: only ranked (ORDER BY rank() LIMIT k) statements shard"}
 	}
-	k := plan.K
-	if req.K > 0 {
-		k = req.K
-	}
-	var res *rank.Result
-	if plan.Extended {
-		res, err = rank.RVAQCNF(ctx, cur.ix, plan.CNF, k, rank.Options{})
-	} else {
-		res, err = rank.RVAQ(ctx, cur.ix, plan.Query, k, rank.Options{})
-	}
+	ans, err := b.exec.Execute(ctx, plan, query.Request{K: req.K, Index: cur.ix})
 	if err != nil {
-		var miss *rank.NotIngestedError
-		if errors.As(err, &miss) {
-			// A shard holding a partial vocabulary answers "no candidates
-			// here" for types it never ingested — other shards may hold
-			// them, so this is neither a client nor a replica error.
-			return &Response{Shard: b.name, Replica: b.name, Generation: cur.gen, Trace: ltrace.Snapshot()}, nil
+		var bad *query.BadRequestError
+		if errors.As(err, &bad) {
+			return nil, &BadRequestError{Msg: err.Error()}
 		}
 		return nil, &replicaError{Replica: b.name, Err: fmt.Errorf("shard query: %w", err)}
 	}
@@ -138,21 +129,20 @@ func (b *LocalBackend) Query(ctx context.Context, req Request) (*Response, error
 		Shard:         b.name,
 		Replica:       b.name,
 		Generation:    cur.gen,
-		Candidates:    res.Candidates,
-		Truncated:     res.Truncated,
-		ResidualUpper: res.ResidualUpper,
+		Candidates:    ans.Candidates,
+		Truncated:     ans.Truncated,
+		ResidualUpper: ans.ResidualUpper,
 		Trace:         ltrace.Snapshot(),
 	}
-	for _, sr := range res.Sequences {
-		vid, local := cur.ix.Resolve(sr.Seq.Start)
+	for _, s := range ans.Sequences {
 		resp.Sequences = append(resp.Sequences, RankedSeq{
-			Video:     vid,
-			StartClip: local,
-			EndClip:   local + sr.Seq.Len() - 1,
-			Score:     sr.Score(),
-			Lower:     sr.Lower,
-			Upper:     sr.Upper,
-			Exact:     sr.Exact,
+			Video:     s.Video,
+			StartClip: s.StartClip,
+			EndClip:   s.EndClip,
+			Score:     s.Score,
+			Lower:     s.Lower,
+			Upper:     s.Upper,
+			Exact:     s.Exact,
 		})
 	}
 	return resp, nil

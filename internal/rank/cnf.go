@@ -49,8 +49,10 @@ func (s cnfTableScorer) scoreTables(scores []float64) float64 {
 	return p
 }
 
-// cnfTables resolves one table per distinct atom and the clause structure
-// over the table indexes. Tables come back in planner order (cheapest
+// cnfTables resolves one table per distinct ingested atom and the clause
+// structure over the table indexes. Atoms the index never ingested are
+// dropped from their clause; only a clause left with no ingested atom
+// makes the query unanswerable here (NotIngestedError). Tables come back in planner order (cheapest
 // expected cost to reject first, from each atom table's length and
 // sequence coverage) with the clause references remapped accordingly — no
 // caller may assume any fixed atom layout.
@@ -77,7 +79,10 @@ func (ix *Index) cnfTables(q core.CNF, st *store.Stats) ([]store.Table, [][]int,
 					return nil, nil, nil, nil, fmt.Errorf("rank: relation atom %s is not supported offline", a)
 				}
 				if ti == nil {
-					return nil, nil, nil, nil, &NotIngestedError{Kind: "atom", Name: fmt.Sprint(a)}
+					// An atom the index never ingested scores 0 on every
+					// clip and has no sequences, so it adds nothing to its
+					// clause's max or union: drop it.
+					continue
 				}
 				i = len(tis)
 				tis = append(tis, ti)
@@ -89,6 +94,9 @@ func (ix *Index) cnfTables(q core.CNF, st *store.Stats) ([]store.Table, [][]int,
 				index[key] = i
 			}
 			clauses[ci] = append(clauses[ci], i)
+		}
+		if len(clauses[ci]) == 0 {
+			return nil, nil, nil, nil, &NotIngestedError{Kind: "atom", Name: fmt.Sprint(c.Atoms[0])}
 		}
 	}
 	pl := plan.New(nodes, plan.Options{})

@@ -1,14 +1,11 @@
 package rank
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"svqact/internal/core"
 )
 
 // Repository manages a directory of per-video indexes and answers queries
@@ -170,25 +167,6 @@ func (r *Repository) Merged() (*Index, error) {
 	}
 	r.merged = m
 	return m, nil
-}
-
-// TopK answers a ranked query over the whole repository, honouring ctx.
-func (r *Repository) TopK(ctx context.Context, q core.Query, k int, opts Options) (*Result, error) {
-	m, err := r.Merged()
-	if err != nil {
-		return nil, err
-	}
-	return RVAQ(ctx, m, q, k, opts)
-}
-
-// Resolve maps a merged-view clip id back to (member video, local clip).
-func (r *Repository) Resolve(clip int) (string, int, error) {
-	m, err := r.Merged()
-	if err != nil {
-		return "", 0, err
-	}
-	v, local := m.Resolve(clip)
-	return v, local, nil
 }
 
 // Close releases every member's file handles.

@@ -70,18 +70,12 @@ func TestRepositoryLifecycle(t *testing.T) {
 		t.Error("duplicate member should be rejected")
 	}
 
-	res, err := repo.TopK(context.Background(), repoQuery, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, res := repoTopK(t, repo)
 	if res.Candidates == 0 {
 		t.Fatal("merged query found no candidates")
 	}
 	// Resolution maps merged clips back to member videos.
-	vid, local, err := repo.Resolve(res.Sequences[0].Seq.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vid, local := m.Resolve(res.Sequences[0].Seq.Start)
 	if (vid != "vid-a" && vid != "vid-b") || local < 0 {
 		t.Errorf("Resolve = %s, %d", vid, local)
 	}
@@ -94,10 +88,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if err := repo.Remove("vid-b"); err == nil {
 		t.Error("double remove should fail")
 	}
-	res2, err := repo.TopK(context.Background(), repoQuery, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res2 := repoTopK(t, repo)
 	if res2.Candidates >= before {
 		t.Errorf("candidates after removal %d, want < %d", res2.Candidates, before)
 	}
@@ -117,10 +108,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if got := repo2.Videos(); len(got) != 1 || got[0] != "vid-a" {
 		t.Fatalf("reopened Videos = %v", got)
 	}
-	res3, err := repo2.TopK(context.Background(), repoQuery, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res3 := repoTopK(t, repo2)
 	if len(res3.Sequences) != len(res2.Sequences) {
 		t.Fatalf("reopened result count differs")
 	}
@@ -207,4 +195,18 @@ func TestIngestAllParallelMatchesSerial(t *testing.T) {
 	if one.NumClips != serial.NumClips {
 		t.Error("single-worker parallel ingestion diverged")
 	}
+}
+
+// repoTopK answers repoQuery's top 3 over the repository's merged view.
+func repoTopK(t *testing.T, repo *Repository) (*Index, *Result) {
+	t.Helper()
+	m, err := repo.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RVAQ(context.Background(), m, repoQuery, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, res
 }

@@ -1,7 +1,8 @@
 // Package server exposes the query engine over HTTP: statements of the
-// SQL-like dialect are POSTed to /query and executed against the benchmark
-// datasets — streaming (SVAQ/SVAQD) or ranked offline (RVAQ with lazy
-// ingestion) according to the statement's plan.
+// SQL-like dialect are POSTed to /query and run through the shared statement
+// executor (internal/query) — streaming (SVAQ/SVAQD) or ranked offline (RVAQ
+// over a loaded repository or lazily ingested sources) according to the
+// statement's plan.
 //
 // The serving path is hardened for unattended operation: every query runs
 // under a deadline and the client's cancellation, admission control bounds
@@ -20,7 +21,6 @@ import (
 	"net/http"
 	"regexp"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -29,10 +29,8 @@ import (
 	"svqact/internal/detect"
 	"svqact/internal/obs"
 	"svqact/internal/plan"
-	"svqact/internal/rank"
+	"svqact/internal/query"
 	"svqact/internal/sqlq"
-	"svqact/internal/synth"
-	"svqact/internal/video"
 )
 
 // Config parameterises a server instance.
@@ -142,11 +140,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server resolves query sources against the benchmark datasets and caches
-// offline indexes per source. It is safe for concurrent use.
+// Server answers statements through one query.Executor, which resolves
+// sources against the benchmark datasets and caches lazily ingested indexes.
+// It is safe for concurrent use.
 type Server struct {
 	cfg    Config
-	models detect.Models
+	exec   *query.Executor
 	start  time.Time
 	log    *slog.Logger
 	reg    *obs.Registry
@@ -205,31 +204,30 @@ type Server struct {
 	repoReloads    map[string]*obs.Counter
 	repoCorruption *obs.Counter
 	repoRecoveries *obs.Counter
-
-	once    sync.Once
-	youtube *synth.Dataset
-	movies  *synth.Dataset
-
-	mu      sync.Mutex
-	streams map[string]detect.TruthVideo
-	indexes map[string]*rank.Index
 }
 
 // New creates a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	models := buildModels(cfg)
 	s := &Server{
-		cfg:     cfg,
-		models:  models,
-		start:   time.Now(),
-		log:     cfg.Logger,
-		reg:     cfg.Registry,
-		traces:  cfg.Traces,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		streams: map[string]detect.TruthVideo{},
-		indexes: map[string]*rank.Index{},
+		cfg:    cfg,
+		start:  time.Now(),
+		log:    cfg.Logger,
+		reg:    cfg.Registry,
+		traces: cfg.Traces,
+		sem:    make(chan struct{}, cfg.MaxConcurrent),
 	}
+	engine := core.DefaultConfig()
+	if cfg.Retry.Attempts > 0 {
+		engine.Retry = cfg.Retry
+	}
+	if cfg.FailureBudget > 0 {
+		engine.FailureBudget = cfg.FailureBudget
+	}
+	engine.InferenceBudget = cfg.InferenceBudget
+	engine.Meter = &s.meter
+	s.exec = query.New(query.Config{Models: buildModels(cfg), Engine: engine,
+		Scale: cfg.Scale, Seed: cfg.Seed, Shard: cfg.ShardName != ""})
 	r := s.reg
 	s.waiting = r.Gauge("svqact_queries_waiting",
 		"Requests queued for an execution slot.")
@@ -360,107 +358,8 @@ func (s *Server) observePlan(rep *plan.Report) {
 	}
 }
 
-func (s *Server) engineConfig() core.Config {
-	cfg := core.DefaultConfig()
-	if s.cfg.Retry.Attempts > 0 {
-		cfg.Retry = s.cfg.Retry
-	}
-	if s.cfg.FailureBudget > 0 {
-		cfg.FailureBudget = s.cfg.FailureBudget
-	}
-	cfg.InferenceBudget = s.cfg.InferenceBudget
-	cfg.Meter = &s.meter
-	return cfg
-}
-
-func (s *Server) datasets() (*synth.Dataset, *synth.Dataset) {
-	s.once.Do(func() {
-		s.youtube = synth.YouTube(synth.Options{Scale: s.cfg.Scale, Seed: s.cfg.Seed})
-		s.movies = synth.Movies(synth.Options{Scale: s.cfg.Scale, Seed: s.cfg.Seed})
-	})
-	return s.youtube, s.movies
-}
-
 // Sources lists the resolvable PROCESS sources.
-func (s *Server) Sources() []string {
-	yt, mv := s.datasets()
-	var out []string
-	for _, q := range yt.Queries {
-		out = append(out, q.Name)
-	}
-	for _, v := range mv.Videos {
-		out = append(out, v.ID())
-	}
-	sort.Strings(out)
-	return out
-}
-
-// resolve maps a PROCESS source to a stream.
-func (s *Server) resolve(name string) (detect.TruthVideo, error) {
-	s.mu.Lock()
-	if v, ok := s.streams[name]; ok {
-		s.mu.Unlock()
-		return v, nil
-	}
-	s.mu.Unlock()
-
-	yt, mv := s.datasets()
-	var stream detect.TruthVideo
-	if v := mv.Video(name); v != nil {
-		stream = v
-	} else if spec := yt.Query(name); spec != nil {
-		var vids []*synth.Video
-		for _, v := range yt.Videos {
-			if !v.ActionPresence(spec.Action).Empty() {
-				vids = append(vids, v)
-			}
-		}
-		c, err := synth.NewConcat(name, vids)
-		if err != nil {
-			return nil, err
-		}
-		stream = c
-	} else {
-		return nil, fmt.Errorf("unknown source %q", name)
-	}
-	s.mu.Lock()
-	s.streams[name] = stream
-	s.mu.Unlock()
-	return stream, nil
-}
-
-// index lazily ingests a source for offline queries.
-func (s *Server) index(ctx context.Context, name string) (*rank.Index, error) {
-	s.mu.Lock()
-	if ix, ok := s.indexes[name]; ok {
-		s.mu.Unlock()
-		return ix, nil
-	}
-	s.mu.Unlock()
-	stream, err := s.resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	icfg := rank.DefaultIngestConfig()
-	icfg.Core = s.engineConfig()
-	var ix *rank.Index
-	if c, ok := stream.(*synth.Concat); ok {
-		var tvs []detect.TruthVideo
-		for _, v := range c.Components() {
-			tvs = append(tvs, v)
-		}
-		ix, err = rank.IngestAllParallel(ctx, name, tvs, s.models, rank.PaperScoring(), icfg, 0)
-	} else {
-		ix, err = rank.Ingest(ctx, stream, s.models, rank.PaperScoring(), icfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.indexes[name] = ix
-	s.mu.Unlock()
-	return ix, nil
-}
+func (s *Server) Sources() []string { return s.exec.Sources() }
 
 // QueryRequest is the /query request body.
 type QueryRequest struct {
@@ -473,62 +372,28 @@ type QueryRequest struct {
 	// top-k from a shard during distributed-threshold refinement without
 	// rewriting the SQL text.
 	K int `json:"k,omitempty"`
-	// BudgetMS, when positive, caps this online query's simulated
+	// BudgetMS, when positive, caps this basic online query's simulated
 	// inference spend (overriding the server's -budget default). Past the
 	// budget the query degrades gracefully — remaining clips are
 	// skipped-and-flagged and the plan report carries the budget block —
 	// instead of erroring.
+	//
+	// A knob the statement's shape does not honour (algo on a ranked
+	// statement, k on an online one, budget_ms on an extended or ranked
+	// one) is rejected with 400, as is any unknown field.
 	BudgetMS float64 `json:"budget_ms,omitempty"`
 }
 
-// Sequence is one result sequence. Repository-backed answers resolve clips
-// to the member video and report member-local clip ids with no frame ranges
-// (the repository stores clip score tables, not video geometry). Ranked
-// answers additionally carry the score bounds (rank.Bounds): Lower == Upper
-// when Exact, and a scatter-gather coordinator merges shards on the bounds
-// rather than the point score.
-type Sequence struct {
-	StartClip  int     `json:"start_clip"`
-	EndClip    int     `json:"end_clip"`
-	StartFrame int     `json:"start_frame"`
-	EndFrame   int     `json:"end_frame"`
-	Score      float64 `json:"score,omitempty"`
-	Video      string  `json:"video,omitempty"`
-	Lower      float64 `json:"lower,omitempty"`
-	Upper      float64 `json:"upper,omitempty"`
-	Exact      bool    `json:"exact,omitempty"`
-}
+// Sequence is one result sequence (see query.Sequence).
+type Sequence = query.Sequence
 
-// QueryResponse is the /query response body.
+// QueryResponse is the /query response body: the executor's answer between
+// the query's identity and its trace.
 type QueryResponse struct {
 	// QueryID identifies the query across the response, the X-Query-ID
 	// header, the trace and the server log line.
-	QueryID    string     `json:"query_id,omitempty"`
-	Source     string     `json:"source"`
-	Mode       string     `json:"mode"` // SVAQ, SVAQD or RVAQ
-	Extended   bool       `json:"extended,omitempty"`
-	K          int        `json:"k,omitempty"`
-	Candidates int        `json:"candidates,omitempty"`
-	NumClips   int        `json:"num_clips"`
-	Sequences  []Sequence `json:"sequences"`
-	// FlaggedClips counts clips skipped after detector retry exhaustion
-	// (online modes with fault injection only).
-	FlaggedClips int   `json:"flagged_clips,omitempty"`
-	ElapsedMS    int64 `json:"elapsed_ms"`
-	// RandomAccesses counts offline table accesses (RVAQ only).
-	RandomAccesses int64 `json:"random_accesses,omitempty"`
-	// Truncated reports that ranked candidates beyond the returned top-k
-	// exist; ResidualUpper then bounds every omitted candidate's score —
-	// the coordinator's distributed Blo_K pruning signal.
-	Truncated     bool    `json:"truncated,omitempty"`
-	ResidualUpper float64 `json:"residual_upper,omitempty"`
-	// Generation is the repository generation that answered (repository-
-	// backed offline statements only).
-	Generation int `json:"generation,omitempty"`
-	// Plan reports the predicate-ordering plan the query executed with:
-	// adaptive or pinned, the chosen vs declared order, and per-predicate
-	// cost and selectivity statistics. Ordering never changes results.
-	Plan *plan.Report `json:"plan,omitempty"`
+	QueryID string `json:"query_id,omitempty"`
+	query.Answer
 	// Trace is the query's span tree: per-predicate evaluation, ranking
 	// traversal and ingestion stages with durations and attributes.
 	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
@@ -764,32 +629,42 @@ func (s *Server) reject(w http.ResponseWriter, why string) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	trace := obs.TraceFrom(r.Context())
-	qid := trace.ID()
+	var req QueryRequest
+	if p, ok := s.decodeStatement(w, r, trace.ID(), &req, &req.SQL); ok {
+		s.runQuery(w, r, p, req, trace.ID(), trace)
+	}
+}
+
+// decodeStatement reads a POSTed JSON body into req and plans the
+// statement it carries (at *sql once decoded). When it cannot, it answers
+// the client itself — 405, 413, or 400 for bad JSON, an unknown field or a
+// statement that does not parse or plan — and reports false.
+func (s *Server) decodeStatement(w http.ResponseWriter, r *http.Request, qid string, req any, sql *string) (sqlq.Plan, bool) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", QueryID: qid})
-		return
+		return sqlq.Plan{}, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields() // a misplaced knob is rejected, not dropped
+	if err := dec.Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error(), QueryID: qid})
-			return
+			return sqlq.Plan{}, false
 		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error(), QueryID: qid})
-		return
+		return sqlq.Plan{}, false
 	}
-	st, err := sqlq.Parse(req.SQL)
+	st, err := sqlq.Parse(*sql)
 	if err == nil {
-		var plan sqlq.Plan
-		if plan, err = st.Plan(); err == nil {
-			s.runQuery(w, r, plan, req, qid, trace)
-			return
+		var p sqlq.Plan
+		if p, err = st.Plan(); err == nil {
+			return p, true
 		}
 	}
-	s.logQuery(qid, req.SQL, err, http.StatusBadRequest, 0)
+	s.logQuery(qid, *sql, err, http.StatusBadRequest, 0)
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
+	return sqlq.Plan{}, false
 }
 
 // handleBatch executes one online statement over every video of the source
@@ -799,75 +674,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	trace := obs.TraceFrom(r.Context())
 	qid := trace.ID()
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", QueryID: qid})
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error(), QueryID: qid})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error(), QueryID: qid})
+	p, ok := s.decodeStatement(w, r, qid, &req, &req.SQL)
+	if !ok {
 		return
 	}
-	badRequest := func(err error) {
-		s.logQuery(qid, req.SQL, err, http.StatusBadRequest, 0)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
-	}
-	st, err := sqlq.Parse(req.SQL)
-	if err != nil {
-		badRequest(err)
-		return
-	}
-	plan, err := st.Plan()
-	if err != nil {
-		badRequest(err)
-		return
-	}
-	if !plan.Online {
-		badRequest(fmt.Errorf("batch evaluation requires an online (streaming) statement; offline top-k queries use /query"))
-		return
-	}
-	if plan.Extended {
-		badRequest(fmt.Errorf("batch evaluation supports the basic one-action conjunction only"))
-		return
-	}
-
-	cfg := s.engineConfig()
-	var eng *core.Engine
-	switch req.Algo {
-	case "", "svaqd":
-		eng, err = core.NewSVAQD(s.models, cfg)
-	case "svaq":
-		eng, err = core.NewSVAQ(s.models, cfg)
-	default:
-		badRequest(fmt.Errorf("unknown algorithm %q", req.Algo))
-		return
-	}
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), QueryID: qid})
-		return
-	}
-
-	stream, err := s.resolve(plan.Source)
-	if err != nil {
-		s.logQuery(qid, req.SQL, err, http.StatusNotFound, 0)
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), QueryID: qid})
-		return
-	}
-	var vids []detect.TruthVideo
-	if c, ok := stream.(*synth.Concat); ok {
-		for _, v := range c.Components() {
-			vids = append(vids, v)
-		}
-	} else {
-		vids = []detect.TruthVideo{stream}
-	}
-
 	workers := s.cfg.Workers
 	if req.Workers > 0 {
 		workers = req.Workers
@@ -880,18 +691,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	start := time.Now()
-	fr, fleetErr := eng.RunAll(ctx, vids, plan.Query, core.FleetOptions{Workers: workers, PerVideoTrace: true})
-	elapsed := time.Since(start)
-	s.fleetLatency.ObserveDuration(elapsed)
+	fr, mode, fleetErr := s.exec.RunAll(ctx, p, req.Algo, core.FleetOptions{Workers: workers, PerVideoTrace: true})
 	if fr == nil {
-		// Validation failure before any dispatch (bad query shape).
-		badRequest(fleetErr)
+		status, body := errorStatus(fleetErr)
+		body.QueryID = qid
+		s.logQuery(qid, req.SQL, fleetErr, status, 0)
+		writeJSON(w, status, body)
 		return
 	}
+	elapsed := time.Since(start)
+	s.fleetLatency.ObserveDuration(elapsed)
 	s.fleetBatches.Inc()
 
 	resp := &BatchResponse{
-		QueryID: qid, Source: plan.Source, Mode: eng.Mode().String(),
+		QueryID: qid, Source: p.Source, Mode: mode,
 		Workers: workers, NumVideos: len(fr.Videos),
 		OK: fr.OK, Degraded: fr.Degraded, Interrupted: fr.Interrupted,
 		Skipped: fr.Skipped, Failed: fr.Failed,
@@ -913,13 +726,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			bv.NumClips = res.NumClips
 			bv.ProcessedClips = res.Processed
 			bv.FlaggedClips = res.Flagged.TotalLen()
-			for _, iv := range res.Sequences.Intervals() {
-				fr := res.Geometry.FrameRangeOfClips(iv)
-				bv.Sequences = append(bv.Sequences, Sequence{
-					StartClip: iv.Start, EndClip: iv.End,
-					StartFrame: fr.Start, EndFrame: fr.End,
-				})
-			}
+			bv.Sequences = query.Sequences(res.Sequences, res.Geometry)
 		}
 		resp.Videos = append(resp.Videos, bv)
 	}
@@ -939,7 +746,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // runQuery executes a planned statement, observing the latency histogram,
 // emitting the per-query log line, and attaching the trace to the response.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, plan sqlq.Plan, req QueryRequest, qid string, trace *obs.Trace) {
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, p sqlq.Plan, req QueryRequest, qid string, trace *obs.Trace) {
 	ctx := r.Context()
 	if s.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -947,7 +754,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, plan sqlq.Plan
 		defer cancel()
 	}
 	start := time.Now()
-	resp, err := s.execute(ctx, plan, req.Algo, req.K, req.BudgetMS)
+	ans, err := s.execute(ctx, p, query.Request{Algo: req.Algo, K: req.K,
+		Budget: time.Duration(req.BudgetMS * float64(time.Millisecond))})
 	elapsed := time.Since(start)
 	s.latency.ObserveDuration(elapsed)
 	if err != nil {
@@ -958,11 +766,38 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, plan sqlq.Plan
 		writeJSON(w, status, body)
 		return
 	}
-	resp.QueryID = qid
-	resp.Trace = trace.Snapshot()
+	s.observePlan(ans.Plan)
+	if ans.Ranked != nil {
+		s.rankSorted.Add(ans.Ranked.Stats.Sorted)
+		s.rankRandom.Add(ans.Ranked.Stats.Random)
+	}
+	resp := &QueryResponse{QueryID: qid, Answer: ans, Trace: trace.Snapshot()}
 	s.logQuery(qid, req.SQL, nil, http.StatusOK, elapsed)
 	s.offerTrace(resp.Trace, req.SQL, "ok")
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// execute runs a statement through the executor. Ranked statements on a
+// repository-backed server answer from the loaded repository (the merged
+// clip space spans every member; the PROCESS source names the repository
+// view, not one synthetic stream); a reference on the handle keeps the
+// generation's files open across a reload.
+func (s *Server) execute(ctx context.Context, p sqlq.Plan, req query.Request) (query.Answer, error) {
+	if p.Online || s.cfg.RepoDir == "" {
+		return s.exec.Execute(ctx, p, req)
+	}
+	h := s.acquireRepo()
+	if h == nil {
+		return query.Answer{}, fmt.Errorf("repository %s is not loaded (last reload failed?)", s.cfg.RepoDir)
+	}
+	defer h.release()
+	var err error
+	if req.Index, err = h.repo.Merged(); err != nil {
+		return query.Answer{}, err
+	}
+	ans, err := s.exec.Execute(ctx, p, req)
+	ans.Generation = h.repo.MaxGeneration()
+	return ans, err
 }
 
 // offerTrace hands a finished query's trace to the retained store and emits
@@ -1019,12 +854,16 @@ func queryOutcome(err error, status int) string {
 	return "error"
 }
 
-// errorStatus maps execution errors to HTTP statuses: unknown sources are
-// 404, interrupted queries (deadline or disconnect) are 504 with partial
+// errorStatus maps execution errors to HTTP statuses: rejected statements
+// and request knobs are 400, unknown sources are 404, interrupted queries (deadline or disconnect) are 504 with partial
 // progress, degraded queries (failure budget exceeded) are 502, and
 // everything else is 500.
 func errorStatus(err error) (int, errorResponse) {
-	var nf notFoundError
+	var bad *query.BadRequestError
+	if errors.As(err, &bad) {
+		return http.StatusBadRequest, errorResponse{Error: err.Error()}
+	}
+	var nf *query.NotFoundError
 	if errors.As(err, &nf) {
 		return http.StatusNotFound, errorResponse{Error: err.Error()}
 	}
@@ -1037,186 +876,6 @@ func errorStatus(err error) (int, errorResponse) {
 		return http.StatusBadGateway, errorResponse{Error: err.Error(), Processed: de.Processed, Total: de.Total}
 	}
 	return http.StatusInternalServerError, errorResponse{Error: err.Error()}
-}
-
-type notFoundError struct{ error }
-
-func (s *Server) execute(ctx context.Context, plan sqlq.Plan, algo string, kOverride int, budgetMS float64) (*QueryResponse, error) {
-	start := time.Now()
-	if kOverride > 0 && !plan.Online {
-		plan.K = kOverride
-	}
-	resp := &QueryResponse{Source: plan.Source}
-	var stream detect.TruthVideo
-	var g video.Geometry
-	var err error
-	if plan.Online || s.cfg.RepoDir == "" {
-		// Repository-backed offline statements never touch the synthetic
-		// datasets, so their PROCESS source is not resolved against them.
-		stream, err = s.resolve(plan.Source)
-		if err != nil {
-			return nil, notFoundError{err}
-		}
-		g = stream.Geometry()
-	}
-
-	if plan.Online {
-		cfg := s.engineConfig()
-		if budgetMS > 0 {
-			cfg.InferenceBudget = time.Duration(budgetMS * float64(time.Millisecond))
-		}
-		var eng *core.Engine
-		switch algo {
-		case "", "svaqd":
-			eng, err = core.NewSVAQD(s.models, cfg)
-		case "svaq":
-			eng, err = core.NewSVAQ(s.models, cfg)
-		default:
-			return nil, notFoundError{fmt.Errorf("unknown algorithm %q", algo)}
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp.Mode = eng.Mode().String()
-		if plan.Extended {
-			res, err := eng.RunCNF(ctx, stream, plan.CNF)
-			if err != nil {
-				return nil, err
-			}
-			resp.Extended = true
-			resp.NumClips = res.NumClips
-			resp.FlaggedClips = res.Flagged.TotalLen()
-			for _, iv := range res.Sequences.Intervals() {
-				fr := g.FrameRangeOfClips(iv)
-				resp.Sequences = append(resp.Sequences, Sequence{
-					StartClip: iv.Start, EndClip: iv.End,
-					StartFrame: fr.Start, EndFrame: fr.End,
-				})
-			}
-		} else {
-			res, err := eng.Run(ctx, stream, plan.Query)
-			if err != nil {
-				return nil, err
-			}
-			resp.NumClips = res.NumClips
-			resp.FlaggedClips = res.Flagged.TotalLen()
-			resp.Plan = res.Plan
-			s.observePlan(res.Plan)
-			for _, iv := range res.Sequences.Intervals() {
-				fr := g.FrameRangeOfClips(iv)
-				resp.Sequences = append(resp.Sequences, Sequence{
-					StartClip: iv.Start, EndClip: iv.End,
-					StartFrame: fr.Start, EndFrame: fr.End,
-				})
-			}
-		}
-	} else if s.cfg.RepoDir != "" {
-		// Repository-backed: rank over the whole saved repository (the
-		// merged clip space spans every member; the PROCESS source names
-		// the repository view, not one synthetic stream). A reference on
-		// the handle keeps the generation's files open across a reload.
-		h := s.acquireRepo()
-		if h == nil {
-			return nil, fmt.Errorf("repository %s is not loaded (last reload failed?)", s.cfg.RepoDir)
-		}
-		defer h.release()
-		m, err := h.repo.Merged()
-		if err != nil {
-			return nil, err
-		}
-		var res *rank.Result
-		if plan.Extended {
-			res, err = rank.RVAQCNF(ctx, m, plan.CNF, plan.K, rank.Options{})
-			resp.Extended = true
-		} else {
-			res, err = rank.RVAQ(ctx, m, plan.Query, plan.K, rank.Options{})
-		}
-		if err != nil {
-			var miss *rank.NotIngestedError
-			if s.cfg.ShardName != "" && errors.As(err, &miss) {
-				// A shard holds only its own videos' vocabulary: a
-				// predicate type this shard never ingested means "no
-				// candidates here", not a client error — other shards
-				// of the repository may hold it. Record the empty top-k
-				// stage on the trace so the assembled cluster tree shows
-				// why this shard contributed nothing.
-				sp := obs.StartSpan(ctx, "rank.topk")
-				sp.SetAttr("candidates", 0)
-				sp.SetAttr("not_ingested", miss.Error())
-				sp.End()
-				resp.Mode = "RVAQ"
-				resp.K = plan.K
-				resp.NumClips = m.NumClips
-				resp.Generation = m.Generation
-				if resp.Generation == 0 {
-					resp.Generation = h.repo.MaxGeneration()
-				}
-				resp.ElapsedMS = time.Since(start).Milliseconds()
-				return resp, nil
-			}
-			return nil, err
-		}
-		s.rankSorted.Add(res.Stats.Sorted)
-		s.rankRandom.Add(res.Stats.Random)
-		resp.Plan = res.Plan
-		s.observePlan(res.Plan)
-		resp.Mode = res.Algorithm
-		resp.K = plan.K
-		resp.Candidates = res.Candidates
-		resp.NumClips = m.NumClips
-		resp.RandomAccesses = res.Stats.Random
-		resp.Truncated = res.Truncated
-		resp.ResidualUpper = res.ResidualUpper
-		resp.Generation = m.Generation
-		if resp.Generation == 0 {
-			resp.Generation = h.repo.MaxGeneration()
-		}
-		for _, sr := range res.Sequences {
-			vid, local := m.Resolve(sr.Seq.Start)
-			resp.Sequences = append(resp.Sequences, Sequence{
-				StartClip: local, EndClip: local + sr.Seq.Len() - 1,
-				Video: vid, Score: sr.Score(),
-				Lower: sr.Lower, Upper: sr.Upper, Exact: sr.Exact,
-			})
-		}
-	} else {
-		ix, err := s.index(ctx, plan.Source)
-		if err != nil {
-			return nil, err
-		}
-		var res *rank.Result
-		if plan.Extended {
-			res, err = rank.RVAQCNF(ctx, ix, plan.CNF, plan.K, rank.Options{})
-			resp.Extended = true
-		} else {
-			res, err = rank.RVAQ(ctx, ix, plan.Query, plan.K, rank.Options{})
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.rankSorted.Add(res.Stats.Sorted)
-		s.rankRandom.Add(res.Stats.Random)
-		resp.Plan = res.Plan
-		s.observePlan(res.Plan)
-		resp.Mode = res.Algorithm
-		resp.K = plan.K
-		resp.Candidates = res.Candidates
-		resp.NumClips = ix.NumClips
-		resp.RandomAccesses = res.Stats.Random
-		resp.Truncated = res.Truncated
-		resp.ResidualUpper = res.ResidualUpper
-		for _, sr := range res.Sequences {
-			fr := g.FrameRangeOfClips(sr.Seq)
-			resp.Sequences = append(resp.Sequences, Sequence{
-				StartClip: sr.Seq.Start, EndClip: sr.Seq.End,
-				StartFrame: fr.Start, EndFrame: fr.End,
-				Score: sr.Score(),
-				Lower: sr.Lower, Upper: sr.Upper, Exact: sr.Exact,
-			})
-		}
-	}
-	resp.ElapsedMS = time.Since(start).Milliseconds()
-	return resp, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -71,11 +71,13 @@ echo "==> scaling report + regression gate (BENCH_scaling.json)"
 # skips the comparison instead of comparing apples to oranges.
 go run ./cmd/experiments -scale 0.1 -bench-json BENCH_scaling.json -bench-gate 25 >/dev/null
 
-echo "==> ingest + svq fsck round trip"
+echo "==> ingest + svq fsck round trip + ranked OR group from the repository"
 fscktmp=$(mktemp -d)
 trap 'rm -rf "$fscktmp"' EXIT
 go run ./cmd/ingest -dataset movies -scale 0.02 -out "$fscktmp/repo" >/dev/null
 go run ./cmd/svq fsck "$fscktmp/repo"
+# The same repository answers a ranked OR group through svq's executor path.
+go run ./cmd/svq -repo "$fscktmp/repo" -query "SELECT MERGE(clipID) AS s, RANK(act, obj) FROM (PROCESS repo PRODUCE clipID, obj USING ObjectDetector, act USING ActionRecognizer) WHERE (act='kissing' OR act='fighting') AND obj.include('boat') ORDER BY RANK(act, obj) LIMIT 3"
 
 echo "==> go run ./scripts/smoke"
 go run ./scripts/smoke
