@@ -97,7 +97,7 @@ func main() {
 	flag.Float64Var(&o.p0, "p0", 1e-4, "initial background probability")
 	flag.StringVar(&o.repo, "repo", "", "answer ranked queries from a saved repository (built with cmd/ingest) instead of re-ingesting")
 	flag.BoolVar(&o.cascade, "cascade", false, "run the detectors as tiered cascades (recall-complete distilled cheap tier in front of each model)")
-	flag.DurationVar(&o.budget, "budget", 0, "per-query inference budget (simulated model time) for basic online statements; 0 means unlimited. Queries degrade gracefully past it")
+	flag.DurationVar(&o.budget, "budget", 0, "per-query inference budget (simulated model time) for online statements; 0 means unlimited. Queries degrade gracefully past it")
 	flag.Parse()
 	if o.query == "" {
 		data, err := io.ReadAll(os.Stdin)
@@ -196,16 +196,9 @@ func printOnline(w io.Writer, p sqlq.Plan, ans query.Answer) {
 	for _, s := range ans.Sequences {
 		fmt.Fprintf(w, "  clips %4d..%-4d  frames %6d..%-6d\n", s.StartClip, s.EndClip, s.StartFrame, s.EndFrame)
 	}
-	var stats []core.PredicateStats
-	kind := "predicate"
-	if ans.Online != nil {
-		stats = ans.Online.Predicates
-	} else {
-		stats, kind = ans.CNF.Atoms, "atom"
-	}
-	for _, ps := range stats {
-		fmt.Fprintf(w, "%s %-24s background=%.2e k_crit=%d positive clips=%d\n",
-			kind, ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
+	for _, ps := range ans.Online.Predicates {
+		fmt.Fprintf(w, "predicate %-24s background=%.2e k_crit=%d positive clips=%d\n",
+			ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
 	}
 }
 

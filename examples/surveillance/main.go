@@ -10,8 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
-
+	"os"
 	"time"
 
 	"svqact/internal/core"
@@ -23,6 +24,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares SVAQ and SVAQD over an hour of drifting traffic, then
+// streams SVAQD clip by clip to show its background estimate tracking the
+// traffic waves.
+func run(w io.Writer) error {
 	// One hour of footage. Cars pass continuously with 6x traffic during
 	// recurring rush windows; the queried event is a person running while a
 	// car is in view.
@@ -48,7 +58,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	models := detect.NewModels(
@@ -58,7 +68,7 @@ func main() {
 	q := core.Query{Objects: []string{"person", "car"}, Action: "running"}
 	truth := v.TruthClips(synth.QuerySpec{Action: q.Action, Objects: q.Objects}, 0)
 
-	fmt.Printf("query %s over one hour of drifting traffic\n\n", q)
+	fmt.Fprintf(w, "query %s over one hour of drifting traffic\n\n", q)
 	for _, mk := range []struct {
 		name string
 		make func(detect.Models, core.Config) (*core.Engine, error)
@@ -68,31 +78,34 @@ func main() {
 	} {
 		eng, err := mk.make(models, core.DefaultConfig())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lat := obs.NewHistogram(nil)
 		start := time.Now()
 		res, err := eng.Run(context.Background(), v, q)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lat.ObserveDuration(time.Since(start))
 		c := metrics.MatchSequences(res.Sequences, truth, metrics.DefaultIoU)
-		fmt.Printf("%-24s sequences=%-3d precision=%.2f recall=%.2f F1=%.2f\n",
+		fmt.Fprintf(w, "%-24s sequences=%-3d precision=%.2f recall=%.2f F1=%.2f\n",
 			mk.name, res.Sequences.NumIntervals(), c.Precision(), c.Recall(), c.F1())
 		car := res.Predicate("car")
-		fmt.Printf("%24s car background estimate: %.4f (k_crit=%d)\n",
+		fmt.Fprintf(w, "%24s car background estimate: %.4f (k_crit=%d)\n",
 			"", car.Background, car.Critical)
-		fmt.Printf("%24s latency: %s\n", "", lat.Summary())
+		fmt.Fprintf(w, "%24s latency: %s\n", "", lat.Summary())
 	}
 
 	// Show SVAQD's background estimate following the traffic waves.
-	eng, _ := core.NewSVAQD(models, core.DefaultConfig())
+	eng, err := core.NewSVAQD(models, core.DefaultConfig())
+	if err != nil {
+		return err
+	}
 	run, err := eng.NewRun(context.Background(), v, q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nSVAQD car-background trajectory (one sample per 2 minutes):")
+	fmt.Fprintln(w, "\nSVAQD car-background trajectory (one sample per 2 minutes):")
 	step := 0
 	for run.Step() {
 		step++
@@ -102,11 +115,11 @@ func main() {
 			if bar > 60 {
 				bar = 60
 			}
-			fmt.Printf("  t=%4.1fmin  p=%.4f %s\n",
+			fmt.Fprintf(w, "  t=%4.1fmin  p=%.4f %s\n",
 				float64(step)*50/10/60, car.Background, stars(bar))
 		}
 	}
-	_ = video.DefaultGeometry
+	return nil
 }
 
 func stars(n int) string {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -99,7 +100,7 @@ func (e *Engine) Mode() Mode { return e.mode }
 // invocations to it.
 func (e *Engine) SetMeter(m *detect.Meter) { e.meter = m }
 
-// PredicateKind distinguishes object and action predicates in diagnostics.
+// PredicateKind distinguishes the kinds of query atom.
 type PredicateKind int
 
 const (
@@ -107,6 +108,9 @@ const (
 	ObjectPredicate PredicateKind = iota
 	// ActionPredicate is evaluated per shot.
 	ActionPredicate
+	// RelationPredicate is a spatial relationship between two object
+	// types, evaluated per frame from pairs of detections.
+	RelationPredicate
 )
 
 // PredicateStats reports per-predicate diagnostics of a run.
@@ -133,7 +137,9 @@ type PredicateStats struct {
 
 // Result is the outcome of a run over one video.
 type Result struct {
-	Query    Query
+	// Query is the evaluated query in CNF; a basic query appears as its
+	// singleton-clause lift (FromQuery).
+	Query    CNF
 	Mode     Mode
 	Geometry video.Geometry
 	// NumClips is the number of clips in the processed video; Processed
@@ -147,8 +153,8 @@ type Result struct {
 	// (their indicator is conservatively negative) — the degraded-but-alive
 	// outcome of the failure model.
 	Flagged video.IntervalSet
-	// Predicates holds per-predicate diagnostics, objects in query order
-	// followed by the action.
+	// Predicates holds per-atom diagnostics in the query's first-appearance
+	// order (for a basic query: objects in query order, then the action).
 	Predicates []PredicateStats
 	// Plan reports the predicate evaluation plan the run used: the chosen
 	// order, the per-node cost model, re-plan count and short-circuit
@@ -196,12 +202,24 @@ func (e *Engine) Run(ctx context.Context, v detect.TruthVideo, q Query) (*Result
 }
 
 // runShared is Run with an optional externally owned planner — the fleet
-// path hands every per-video run one shared, warm-started cost model. As a
-// batch entry point it owns the run's pooled scratch: the scratch goes back
-// to the pool only after Result() has materialised everything the caller
-// sees, so nothing the caller holds aliases pooled memory.
+// path hands every per-video run one shared, warm-started cost model.
 func (e *Engine) runShared(ctx context.Context, v detect.TruthVideo, q Query, pl *plan.Planner) (*Result, error) {
-	run, err := e.newRun(ctx, v, q, pl)
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return e.run(ctx, v, FromQuery(q), pl, "engine.run")
+}
+
+// run is the one batch entry point: it evaluates a CNF query over the
+// whole video, naming the root span root. It owns the run's pooled
+// scratch: the scratch goes back to the pool only after Result() has
+// materialised everything the caller sees, so nothing the caller holds
+// aliases pooled memory.
+func (e *Engine) run(ctx context.Context, v detect.TruthVideo, q CNF, pl *plan.Planner, root string) (*Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	run, err := e.newRun(ctx, v, q, pl, root)
 	if err != nil {
 		return nil, err
 	}
@@ -212,10 +230,14 @@ func (e *Engine) runShared(ctx context.Context, v detect.TruthVideo, q Query, pl
 	return res, rerr
 }
 
-// predState is the per-predicate evaluation state of a run.
+// predState is the per-atom evaluation state of a run.
 type predState struct {
-	name string
+	atom Atom
+	name string // atom.String()
 	kind PredicateKind
+
+	// clauses lists the query clauses the atom belongs to, each once.
+	clauses []int
 
 	window int // occurrence units per clip (frames or shots)
 
@@ -271,9 +293,18 @@ type Run struct {
 	e     *Engine
 	ctx   context.Context
 	v     detect.TruthVideo
-	q     Query
+	q     CNF
+	root  string // root span name
 	geom  video.Geometry
-	preds []*predState // declared order: objects in query order, action last or first
+	preds []*predState // declared order: first appearance, actions first under ActionFirst
+
+	// Clause bookkeeping for the short-circuit rule: clauseSize counts each
+	// clause's distinct atoms; per clip, clauseSat marks the clauses some
+	// evaluated atom satisfied and clauseLeft counts the atoms of each
+	// clause not yet evaluated negative.
+	clauseSize []int
+	clauseSat  []bool
+	clauseLeft []int
 
 	// planner owns the evaluation order over preds (cheapest expected cost
 	// to reject first, re-planned as statistics drift; pinned to the
@@ -321,15 +352,18 @@ type Run struct {
 // each predicate also gets a kernel estimator. The context is checked before
 // every clip; a nil ctx means context.Background.
 func (e *Engine) NewRun(ctx context.Context, v detect.TruthVideo, q Query) (*Run, error) {
-	return e.newRun(ctx, v, q, nil)
-}
-
-// newRun is NewRun with an optional shared planner (fleet warm start). A
-// nil or mismatched planner gets replaced by a fresh one for this run.
-func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q Query, pl *plan.Planner) (*Run, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	return e.newRun(ctx, v, FromQuery(q), nil, "engine.run")
+}
+
+// newRun prepares a run of the CNF query q, which the caller has
+// validated, with an optional shared planner (fleet warm start): one pooled
+// predState per distinct atom, in declared order, each recording the
+// clauses it belongs to. A nil or mismatched planner gets replaced by a
+// fresh one for this run.
+func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q CNF, pl *plan.Planner, root string) (*Run, error) {
 	g := v.Geometry()
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -337,85 +371,123 @@ func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q Query, pl *p
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := e.cfg
 	r := acquireRun()
 	r.e = e
 	r.ctx = ctx
 	r.v = v
 	r.q = q
+	r.root = root
 	r.geom = g
 	r.numClips = g.NumClips(v.NumFrames())
 	r.trace = obs.TraceFrom(ctx)
 	r.parent = obs.SpanFrom(ctx)
 	r.started = time.Now()
 
-	fpc, spc := g.FramesPerClip(), g.ShotsPerClip
-	numShots := g.NumShots(v.NumFrames())
-
-	slots := r.scratch.ensurePreds(len(q.Objects) + 1)
-	for i, o := range q.Objects {
-		if err := r.initPred(&slots[i], o, ObjectPredicate, fpc, cfg.P0Object, cfg.BandwidthFrames, v.NumFrames()); err != nil {
+	s := r.scratch
+	s.atoms = e.declaredAtoms(s.atoms[:0], q)
+	slots := s.ensurePreds(len(s.atoms))
+	r.preds = s.predPtrs[:0]
+	for i, a := range s.atoms {
+		if err := r.initPred(&slots[i], a); err != nil {
 			r.release()
 			return nil, err
 		}
-	}
-	act := &slots[len(slots)-1]
-	if err := r.initPred(act, q.Action, ActionPredicate, spc, cfg.P0Action, cfg.BandwidthShots, numShots); err != nil {
-		r.release()
-		return nil, err
-	}
-	r.preds = r.scratch.predPtrs[:0]
-	if cfg.ActionFirst {
-		r.preds = append(r.preds, act)
-	}
-	for i := range q.Objects {
 		r.preds = append(r.preds, &slots[i])
 	}
-	if !cfg.ActionFirst {
-		r.preds = append(r.preds, act)
+	s.clauseSize = zeroed(s.clauseSize, len(q.Clauses))
+	s.clauseLeft = zeroed(s.clauseLeft, len(q.Clauses))
+	s.clauseSat = zeroed(s.clauseSat, len(q.Clauses))
+	r.clauseSize, r.clauseLeft, r.clauseSat = s.clauseSize, s.clauseLeft, s.clauseSat
+	for ci, c := range q.Clauses {
+		for _, a := range c.Atoms {
+			ps := r.pred(a)
+			if n := len(ps.clauses); n == 0 || ps.clauses[n-1] != ci {
+				ps.clauses = append(ps.clauses, ci)
+				r.clauseSize[ci]++
+			}
+		}
 	}
 	r.seedCrits()
 	if pl == nil || pl.Len() != len(r.preds) {
-		pl = e.plannerForQuery(q, g)
+		pl = e.plannerFor(s.atoms, g)
 	}
 	r.planner = pl
 	return r, nil
 }
 
-// plannerForQuery builds the predicate planner for one query at one video
-// geometry: one node per predicate in the declared order NewRun uses, with
-// the per-clip prior cost priced as the predicate's occurrence-unit window
-// times the detector's unit cost. The order is pinned to the declared one
-// under NoShortCircuit (every predicate runs anyway), ActionFirst (the
-// explicit ordering ablation) and DeclaredOrder (the planner opt-out).
-func (e *Engine) plannerForQuery(q Query, g video.Geometry) *plan.Planner {
-	objCost := time.Duration(g.FramesPerClip()) * e.models.Objects.UnitCost()
-	actCost := time.Duration(g.ShotsPerClip) * e.models.Actions.UnitCost()
-	objTiers, actTiers := TierCosts(e.objTiers), TierCosts(e.actTiers)
-	nodes := make([]plan.Node, 0, len(q.Objects)+1)
-	for _, o := range q.Objects {
-		nodes = append(nodes, plan.Node{Name: o, PriorCost: objCost, Tiers: objTiers, Window: g.FramesPerClip()})
+// declaredAtoms appends q's distinct atoms to dst in the declared
+// evaluation order: first appearance, with the action atoms moved to the
+// front under ActionFirst.
+func (e *Engine) declaredAtoms(dst []Atom, q CNF) []Atom {
+	start := len(dst)
+	for _, c := range q.Clauses {
+		for _, a := range c.Atoms {
+			if !slices.ContainsFunc(dst[start:], a.same) {
+				dst = append(dst, a)
+			}
+		}
 	}
-	act := plan.Node{Name: q.Action, PriorCost: actCost, Tiers: actTiers, Window: g.ShotsPerClip}
 	if e.cfg.ActionFirst {
-		nodes = append([]plan.Node{act}, nodes...)
-	} else {
-		nodes = append(nodes, act)
+		atoms := dst[start:]
+		sort.SliceStable(atoms, func(i, j int) bool {
+			return atoms[i].Kind == ActionPredicate && atoms[j].Kind != ActionPredicate
+		})
+	}
+	return dst
+}
+
+// pred returns the run's state for an atom of its query.
+func (r *Run) pred(a Atom) *predState {
+	for _, ps := range r.preds {
+		if ps.atom.same(a) {
+			return ps
+		}
+	}
+	panic("core: atom " + a.String() + " not in the run's query")
+}
+
+// plannerFor builds the predicate planner for atoms in declared order at
+// one video geometry: one node per atom, with the per-clip prior cost
+// priced as the atom's occurrence-unit window times the detector's unit
+// cost (a relation reads its clip's frames from the object detector). The
+// order is pinned to the declared one under NoShortCircuit (every atom runs
+// anyway), ActionFirst (the explicit ordering ablation) and DeclaredOrder
+// (the planner opt-out).
+func (e *Engine) plannerFor(atoms []Atom, g video.Geometry) *plan.Planner {
+	nodes := make([]plan.Node, len(atoms))
+	for i, a := range atoms {
+		w := g.FramesPerClip()
+		if a.Kind == ActionPredicate {
+			w = g.ShotsPerClip
+		}
+		nodes[i] = plan.Node{
+			Name:      a.String(),
+			PriorCost: time.Duration(w) * e.unitCost(a.Kind),
+			Tiers:     TierCosts(e.tierInfos(a.Kind)),
+			Window:    w,
+		}
 	}
 	pinned := e.cfg.NoShortCircuit || e.cfg.ActionFirst || e.cfg.DeclaredOrder
 	return plan.New(nodes, plan.Options{Pinned: pinned, ReplanEvery: e.cfg.ReplanEvery})
 }
 
-// initPred (re)builds the evaluation state for one predicate in a pooled
-// slot: in Static mode its critical value at p0, in Dynamic mode its kernel
-// estimator and critical-value cache. Slice capacities and a
-// bandwidth-matching estimator already in the slot are reused. Dynamic
-// critical values are seeded afterwards, in one batch per grid, by
-// seedCrits.
-func (r *Run) initPred(ps *predState, name string, kind PredicateKind, w int, p0, bw float64, units int) error {
+// initPred (re)builds the evaluation state for one atom in a pooled slot:
+// in Static mode its critical value at p0, in Dynamic mode its kernel
+// estimator and critical-value cache. Objects and relations are counted
+// per frame, actions per shot. Slice capacities and a bandwidth-matching
+// estimator already in the slot are reused. Dynamic critical values are
+// seeded afterwards, in one batch per grid, by seedCrits.
+func (r *Run) initPred(ps *predState, a Atom) error {
 	cfg := r.e.cfg
-	ps.name, ps.kind, ps.window = name, kind, w
-	ps.rawInd = resizeBools(ps.rawInd, units)
+	w, units := r.geom.FramesPerClip(), r.v.NumFrames()
+	p0, bw := cfg.P0Object, cfg.BandwidthFrames
+	if a.Kind == ActionPredicate {
+		w, units = r.geom.ShotsPerClip, r.geom.NumShots(r.v.NumFrames())
+		p0, bw = cfg.P0Action, cfg.BandwidthShots
+	}
+	ps.atom, ps.name, ps.kind, ps.window = a, a.String(), a.Kind, w
+	ps.clauses = ps.clauses[:0]
+	ps.rawInd = zeroed(ps.rawInd, units)
 	ps.clipInd = ps.clipInd[:0]
 	ps.recentPos, ps.recentSeen = 0, 0
 	ps.prev2, ps.prev1, ps.lagSeen = 0, 0, 0
@@ -423,9 +495,9 @@ func (r *Run) initPred(ps *predState, name string, kind PredicateKind, w int, p0
 	ps.evalTime, ps.units, ps.recomputes = 0, 0, 0
 	ps.tierUnits, ps.tierEscalated = ps.tierUnits[:0], ps.tierEscalated[:0]
 	ps.lastMode = plan.TierSingle
-	if tiers := r.tierInfos(kind); len(tiers) >= 2 {
-		ps.tierUnits = zeroInt64s(ps.tierUnits, len(tiers))
-		ps.tierEscalated = zeroInt64s(ps.tierEscalated, len(tiers))
+	if tiers := r.e.tierInfos(a.Kind); len(tiers) >= 2 {
+		ps.tierUnits = zeroed(ps.tierUnits, len(tiers))
+		ps.tierEscalated = zeroed(ps.tierEscalated, len(tiers))
 	}
 	ps.hasBucket = false
 	ps.cache = nil
@@ -510,6 +582,13 @@ func (r *Run) Flagged() video.IntervalSet { return video.FromIndicator(r.flagged
 // clip's observations into each evaluated predicate's background estimate
 // and refresh its critical value.
 //
+// The clip satisfies the query when every clause holds, and a clause holds
+// when any of its atoms does. Atoms run in planner order; off sampled
+// clips an atom is skipped once every clause it belongs to is satisfied or
+// once some clause has failed (all its atoms evaluated negative). For a
+// basic query every clause is a single atom, so this is Algorithm 2's
+// first-negative early exit.
+//
 // A detector invocation that still fails after the configured retries does
 // not abort the run: the clip is flagged, its indicator forced negative, and
 // processing continues — until the flagged fraction exceeds the failure
@@ -547,14 +626,15 @@ func (r *Run) Step() bool {
 	sampled := r.e.cfg.NoShortCircuit || c < r.e.cfg.BootstrapClips ||
 		c%r.e.cfg.EstimatorSampleEvery == 0
 
-	positive := true
+	clear(r.clauseSat)
+	copy(r.clauseLeft, r.clauseSize)
+	failed := false   // some clause can no longer hold
 	var clipErr error // detection failure flagging this clip
 	objectFramesCharged := false
 	modes := r.modesBuf()
 	for _, idx := range r.planner.AppendDecisions(r.orderBuf(), modes) {
 		ps := r.preds[idx]
-		if clipErr != nil || r.err != nil ||
-			(!positive && !r.e.cfg.NoShortCircuit && !sampled) {
+		if clipErr != nil || r.err != nil || (!sampled && (failed || r.satisfied(ps))) {
 			if clipErr == nil && r.err == nil {
 				// Spared by short-circuit (not by a failure): credit the
 				// planner's savings ledger.
@@ -570,7 +650,6 @@ func (r *Run) Step() bool {
 			// this is an interruption (context ended during retries) or a
 			// skip-and-flag detection failure.
 			ps.clipInd = append(ps.clipInd, false)
-			positive = false
 			if r.ctx.Err() != nil {
 				r.err = &InterruptedError{Processed: c, Total: r.numClips, Err: r.ctx.Err()}
 			} else {
@@ -594,12 +673,20 @@ func (r *Run) Step() bool {
 			r.learn(ps, count)
 		}
 		ps.clipInd = append(ps.clipInd, ind)
-		if !ind {
-			positive = false
+		for _, ci := range ps.clauses {
+			if ind {
+				r.clauseSat[ci] = true
+			} else if r.clauseLeft[ci]--; r.clauseLeft[ci] == 0 && !r.clauseSat[ci] {
+				failed = true
+			}
 		}
 	}
 	if sampled && clipErr == nil && r.err == nil {
 		r.planner.EndClip()
+	}
+	positive := clipErr == nil && r.err == nil
+	for _, sat := range r.clauseSat {
+		positive = positive && sat
 	}
 	r.clipInd = append(r.clipInd, positive)
 	r.flagged = append(r.flagged, clipErr != nil)
@@ -611,6 +698,17 @@ func (r *Run) Step() bool {
 				Flagged: r.flaggedCount, Processed: r.nextClip, Total: r.numClips,
 				Budget: r.e.cfg.FailureBudget, Err: clipErr,
 			}
+		}
+	}
+	return true
+}
+
+// satisfied reports whether every clause the atom belongs to already holds
+// on the current clip, so its evaluation cannot change the clip's outcome.
+func (r *Run) satisfied(ps *predState) bool {
+	for _, ci := range ps.clauses {
+		if !r.clauseSat[ci] {
+			return false
 		}
 	}
 	return true
@@ -695,21 +793,25 @@ func (r *Run) gateThreshold(ps *predState) (thr int, ready bool) {
 }
 
 // unitCost is the priced cost of one detector invocation for a predicate
-// kind (per frame for objects, per shot for the action).
-func (r *Run) unitCost(kind PredicateKind) time.Duration {
+// kind (per frame for objects and relations, per shot for actions).
+func (e *Engine) unitCost(kind PredicateKind) time.Duration {
 	if kind == ActionPredicate {
-		return r.e.models.Actions.UnitCost()
+		return e.models.Actions.UnitCost()
 	}
-	return r.e.models.Objects.UnitCost()
+	return e.models.Objects.UnitCost()
 }
 
 // tierInfos returns the engine's cascade description for a predicate kind
-// (nil for single-tier models).
-func (r *Run) tierInfos(kind PredicateKind) []detect.TierInfo {
-	if kind == ActionPredicate {
-		return r.e.actTiers
+// (nil for single-tier models and for relations, which read the object
+// detector's detections directly).
+func (e *Engine) tierInfos(kind PredicateKind) []detect.TierInfo {
+	switch kind {
+	case ObjectPredicate:
+		return e.objTiers
+	case ActionPredicate:
+		return e.actTiers
 	}
-	return r.e.objTiers
+	return nil
 }
 
 // entryTier maps the planner's tier decision to the cascade entry index.
@@ -721,7 +823,8 @@ func entryTier(mode plan.TierMode, tiers int) int {
 }
 
 // evaluate runs the detector over the clip's occurrence units for one
-// predicate, records the raw indicators, charges the meter and the
+// atom (a relation reads the object detector's detections per frame),
+// records the raw indicators, charges the meter and the
 // predicate's evaluation-time accumulator, and returns the positive count
 // together with the evaluation's priced inference cost. Cascaded models
 // execute the planner's tier decision (mode) with per-tier retry and
@@ -772,12 +875,12 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 					count++
 				}
 			}
-			return count, time.Duration(len(scores)) * r.unitCost(ps.kind), nil
+			return count, time.Duration(len(scores)) * r.e.unitCost(ps.kind), nil
 		}
 		for f := fr.Start; f <= fr.End; f++ {
 			score, err := r.objectScore(ps.name, f)
 			if err != nil {
-				return 0, time.Duration(ps.units-units0) * r.unitCost(ps.kind), err
+				return 0, time.Duration(ps.units-units0) * r.e.unitCost(ps.kind), err
 			}
 			ps.units++
 			if score >= m.ObjThreshold {
@@ -813,12 +916,12 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 					count++
 				}
 			}
-			return count, time.Duration(len(scores)) * r.unitCost(ps.kind), nil
+			return count, time.Duration(len(scores)) * r.e.unitCost(ps.kind), nil
 		}
 		for s := sr.Start; s <= sr.End; s++ {
 			score, err := r.actionScore(ps.name, s)
 			if err != nil {
-				return 0, time.Duration(ps.units-units0) * r.unitCost(ps.kind), err
+				return 0, time.Duration(ps.units-units0) * r.e.unitCost(ps.kind), err
 			}
 			ps.units++
 			if score >= m.ActThreshold {
@@ -826,8 +929,22 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 				count++
 			}
 		}
+	case RelationPredicate:
+		fr := r.geom.FrameRangeOfClip(clip)
+		if r.e.meter != nil && !*objectFramesCharged {
+			r.e.meter.AddObjectFrames(fr.Len())
+			*objectFramesCharged = true
+		}
+		rel, a, b := detect.Relation(ps.atom.Name), ps.atom.Args[0], ps.atom.Args[1]
+		for f := fr.Start; f <= fr.End; f++ {
+			ps.units++
+			if detect.RelationPositive(m.Objects, r.v, rel, a, b, f, &r.scratch.relA, &r.scratch.relB) {
+				ps.rawInd[f] = true
+				count++
+			}
+		}
 	}
-	return count, time.Duration(ps.units-units0) * r.unitCost(ps.kind), nil
+	return count, time.Duration(ps.units-units0) * r.e.unitCost(ps.kind), nil
 }
 
 // settleCascade folds one cascade evaluation into the predicate's state and
@@ -858,7 +975,7 @@ func (r *Run) settleCascade(ps *predState, acc *detect.CascadeAccount, mode plan
 	ps.units += total
 	ps.lastMode = mode
 	if r.e.meter != nil {
-		r.e.meter.RecordCascade(kind, r.tierInfos(ps.kind), acc)
+		r.e.meter.RecordCascade(kind, r.e.tierInfos(ps.kind), acc)
 	}
 	r.lastAcc = acc
 	return count
@@ -962,21 +1079,17 @@ func (r *Run) Result() *Result {
 		Sequences: r.Sequences(),
 		Flagged:   r.Flagged(),
 	}
-	// Report objects in query order then the action, regardless of the
-	// evaluation order used.
+	// Report atoms in first-appearance order, regardless of the evaluation
+	// order used.
 	ordered := make([]*predState, 0, len(r.preds))
-	for _, name := range r.q.Objects {
-		for _, ps := range r.preds {
-			if ps.kind == ObjectPredicate && ps.name == name {
+	for _, c := range r.q.Clauses {
+		for _, a := range c.Atoms {
+			if ps := r.pred(a); !slices.Contains(ordered, ps) {
 				ordered = append(ordered, ps)
 			}
 		}
 	}
-	for _, ps := range r.preds {
-		if ps.kind == ActionPredicate {
-			ordered = append(ordered, ps)
-		}
-	}
+	res.Predicates = make([]PredicateStats, 0, len(ordered))
 	for _, ps := range ordered {
 		st := PredicateStats{
 			Name:           ps.name,
@@ -1000,7 +1113,7 @@ func (r *Run) Result() *Result {
 			Exhausted:    r.budgetSpent >= r.e.cfg.InferenceBudget,
 		}
 	}
-	r.emitSpans("engine.run", ordered)
+	r.emitSpans(r.root, ordered)
 	return res
 }
 

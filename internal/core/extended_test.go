@@ -12,8 +12,15 @@ import (
 
 func extTestVideo(t *testing.T, seed int64) *synth.Video {
 	t.Helper()
+	return extVideo(t, seed, 60_000)
+}
+
+// extVideo is the extended-query test world: two actions and three
+// objects, one of them correlated with the first action.
+func extVideo(t *testing.T, seed int64, frames int) *synth.Video {
+	t.Helper()
 	v, err := synth.Generate(synth.Script{
-		ID: "ext-test", Frames: 60_000, FPS: 10, Geometry: video.DefaultGeometry, Seed: seed,
+		ID: "ext-test", Frames: frames, FPS: 10, Geometry: video.DefaultGeometry, Seed: seed,
 		Actions: []synth.ActionSpec{
 			{Name: "jumping", MeanGapShots: 120, MeanDurShots: 30},
 			{Name: "dancing", MeanGapShots: 150, MeanDurShots: 25},
@@ -85,30 +92,6 @@ func TestCNFString(t *testing.T) {
 	want := "(a OR b) AND left_of(x,y)"
 	if got := q.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-func TestFromQueryEquivalence(t *testing.T) {
-	// The CNF lift of a basic query must produce the same sequences as the
-	// basic engine without short-circuiting.
-	v := extTestVideo(t, 1)
-	q := Query{Objects: []string{"human"}, Action: "jumping"}
-	cfg := DefaultConfig()
-	cfg.NoShortCircuit = true
-	eng, err := NewSVAQD(noisyModels(3), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basic, err := eng.Run(context.Background(), v, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := eng.RunCNF(context.Background(), v, FromQuery(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if basic.Sequences.String() != ext.Sequences.String() {
-		t.Errorf("CNF lift diverged:\nbasic %v\n  cnf %v", basic.Sequences, ext.Sequences)
 	}
 }
 
@@ -231,7 +214,7 @@ func TestRelationAtomAgainstTruth(t *testing.T) {
 		t.Errorf("relation query clip F1 = %.2f (%+v), truth clips %d",
 			c.F1(), c, truth.TotalLen())
 	}
-	if rs := res.Atom("near(human,car)"); rs == nil {
+	if rs := res.Predicate("near(human,car)"); rs == nil {
 		t.Error("relation atom stats missing")
 	} else if rs.Kind != RelationPredicate {
 		t.Error("relation atom kind wrong")
@@ -239,26 +222,29 @@ func TestRelationAtomAgainstTruth(t *testing.T) {
 }
 
 func TestSharedAtomStateAcrossClauses(t *testing.T) {
-	// The same atom in two clauses must be evaluated once per clip.
+	// The same atom in two clauses must be evaluated once per clip: with
+	// short-circuiting off, exactly once on every clip.
 	v := extTestVideo(t, 11)
 	q := CNF{Clauses: []Clause{
 		{Atoms: []Atom{ActionAtom("jumping"), ObjectAtom("car")}},
 		{Atoms: []Atom{ObjectAtom("car"), ObjectAtom("dog")}},
 	}}
-	eng, _ := NewSVAQD(noisyModels(4), DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.NoShortCircuit = true
+	eng, _ := NewSVAQD(noisyModels(4), cfg)
 	res, err := eng.RunCNF(context.Background(), v, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Atoms) != 3 {
-		t.Fatalf("want 3 distinct atoms, got %d", len(res.Atoms))
+	if len(res.Predicates) != 3 {
+		t.Fatalf("want 3 distinct atoms, got %d", len(res.Predicates))
 	}
-	for _, a := range res.Atoms {
+	for _, a := range res.Predicates {
 		if a.EvaluatedClips != res.NumClips {
 			t.Errorf("atom %s evaluated %d times, want %d", a.Name, a.EvaluatedClips, res.NumClips)
 		}
 	}
-	if res.Atom("nope") != nil {
+	if res.Predicate("nope") != nil {
 		t.Error("unknown atom lookup should be nil")
 	}
 }
@@ -294,10 +280,11 @@ func TestPositionOfProperties(t *testing.T) {
 func TestRelationSemantics(t *testing.T) {
 	v := extTestVideo(t, 13)
 	det := detect.NewObjectDetector(detect.IdealObject, 0)
+	var ea, eb detect.Events
 	checked := 0
 	for f := 0; f < v.NumFrames() && checked < 500; f += 11 {
-		l := detect.RelationPositive(det, v, detect.LeftOf, "human", "car", f)
-		r := detect.RelationPositive(det, v, detect.RightOf, "car", "human", f)
+		l := detect.RelationPositive(det, v, detect.LeftOf, "human", "car", f, &ea, &eb)
+		r := detect.RelationPositive(det, v, detect.RightOf, "car", "human", f, &ea, &eb)
 		// left_of(human, car) and right_of(car, human) are the same
 		// geometric condition.
 		if l != r {

@@ -157,7 +157,7 @@ func (e *Engine) RunAll(ctx context.Context, videos []detect.TruthVideo, q Query
 		return fr, nil
 	}
 
-	shared := e.plannerForQuery(q, videos[0].Geometry())
+	shared := e.plannerFor(e.declaredAtoms(nil, FromQuery(q)), videos[0].Geometry())
 	fr.Plan = shared.Report()
 
 	// The fleet's root span opens live so every per-video span parents

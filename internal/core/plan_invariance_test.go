@@ -29,12 +29,12 @@ func testVideoThreeObjects(seed int64, frames int) (*synth.Video, error) {
 }
 
 // permutations returns every ordering of xs (Heap's algorithm).
-func permutations(xs []string) [][]string {
-	var out [][]string
-	var rec func(k int, a []string)
-	rec = func(k int, a []string) {
+func permutations[T any](xs []T) [][]T {
+	var out [][]T
+	var rec func(k int, a []T)
+	rec = func(k int, a []T) {
 		if k == 1 {
-			out = append(out, append([]string(nil), a...))
+			out = append(out, append([]T(nil), a...))
 			return
 		}
 		for i := 0; i < k; i++ {
@@ -46,7 +46,7 @@ func permutations(xs []string) [][]string {
 			}
 		}
 	}
-	rec(len(xs), append([]string(nil), xs...))
+	rec(len(xs), append([]T(nil), xs...))
 	return out
 }
 

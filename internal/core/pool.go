@@ -18,7 +18,7 @@ import (
 //
 // Lifecycle: newRun acquires; Run.release returns the scratch, reclaiming
 // any capacity the run's appends grew. Only the batch entry points
-// (runShared, EvaluateTypes) release — a Run handed out by the public
+// (run, EvaluateTypes) release — a Run handed out by the public
 // NewRun streaming API is owned by the caller and is simply garbage
 // collected, scratch and all, which is safe because the pool holds no
 // reference until Put.
@@ -33,6 +33,14 @@ type runScratch struct {
 	// estimator across reuse.
 	preds    []predState
 	predPtrs []*predState
+
+	// atoms holds the query's distinct atoms in declared order while the
+	// run is built; clauseSize/clauseLeft/clauseSat back the Run's
+	// per-clause short-circuit bookkeeping.
+	atoms      []Atom
+	clauseSize []int
+	clauseLeft []int
+	clauseSat  []bool
 
 	clipInd []bool
 	flagged []bool
@@ -57,6 +65,9 @@ type runScratch struct {
 	// objAcc/actAcc are the per-kind cascade accounts evaluate resets and
 	// fills per clip — their per-tier slices are retained across runs.
 	objAcc, actAcc detect.CascadeAccount
+
+	// relA/relB receive a relation's two operands' detections per frame.
+	relA, relB detect.Events
 }
 
 var runPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -94,6 +105,7 @@ func (r *Run) release() {
 	s.clipInd = r.clipInd[:0]
 	s.flagged = r.flagged[:0]
 	s.predPtrs = r.preds[:0]
+	clear(s.atoms)
 	s.run = Run{}
 	runPool.Put(s)
 }
@@ -171,22 +183,11 @@ func (r *Run) accountBuf(kind string) *detect.CascadeAccount {
 	return &r.scratch.objAcc
 }
 
-// resizeBools returns b with length n and every element false, reusing the
+// zeroed returns s with length n and every element zero, reusing the
 // backing array when it is large enough.
-func resizeBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	clear(b)
-	return b
-}
-
-// zeroInt64s returns s with length n and every element zero, reusing the
-// backing array when it is large enough.
-func zeroInt64s(s []int64, n int) []int64 {
+func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)

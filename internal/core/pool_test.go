@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"svqact/internal/detect"
 	"svqact/internal/testenv"
 	"svqact/internal/video"
 )
@@ -69,9 +70,10 @@ func TestPooledRunResultsUnaliased(t *testing.T) {
 }
 
 // TestRunAllocsSteadyState bounds the per-video allocation count of a warm
-// engine — the property the scratch pool exists to provide. The bound has
-// slack for noise but fails loudly if the hot path regresses to per-clip or
-// per-frame allocation.
+// engine — the property the scratch pool exists to provide — for a basic
+// query and for an extended one (an OR group plus a relation), which runs
+// the same pooled loop. The bound has slack for noise but fails loudly if
+// the hot path regresses to per-clip or per-frame allocation.
 func TestRunAllocsSteadyState(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -81,24 +83,39 @@ func TestRunAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Objects: []string{"human", "car"}, Action: "jumping"}
 	ctx := context.Background()
-	// Warm the pool, the critical-value grid and the planner.
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Run(ctx, v, q); err != nil {
-			t.Fatal(err)
+	basic := Query{Objects: []string{"human", "car"}, Action: "jumping"}
+	extended := CNF{Clauses: []Clause{
+		{Atoms: []Atom{ObjectAtom("human"), ObjectAtom("car")}},
+		{Atoms: []Atom{ActionAtom("jumping")}},
+		{Atoms: []Atom{RelationAtom(detect.Near, "human", "car")}},
+	}}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"basic", func() error { _, err := eng.Run(ctx, v, basic); return err }},
+		{"extended", func() error { _, err := eng.RunCNF(ctx, v, extended); return err }},
+	} {
+		// Warm the pool, the critical-value grid and the planner.
+		for i := 0; i < 3; i++ {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(ctx, v, q); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A 4000-frame video spans ~133 clips; the steady-state run should
+		// allocate far below one heap object per clip (result
+		// materialisation, spans and the plan report are the remaining
+		// allocators).
+		const maxAllocs = 120
+		if allocs > maxAllocs {
+			t.Errorf("steady-state %s run allocates %.0f objects/video, want <= %d", c.name, allocs, maxAllocs)
 		}
-	})
-	// A 4000-frame video spans ~133 clips; the steady-state run should
-	// allocate far below one heap object per clip (result materialisation,
-	// spans and the plan report are the remaining allocators).
-	const maxAllocs = 120
-	if allocs > maxAllocs {
-		t.Errorf("steady-state Run allocates %.0f objects/video, want <= %d", allocs, maxAllocs)
+		t.Logf("%s: %.0f allocs/video", c.name, allocs)
 	}
 }

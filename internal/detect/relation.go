@@ -79,23 +79,27 @@ func (r Relation) holds(xa, xb float64) bool {
 // RelationPositive reports the detector-derived indicator of the relation
 // on a frame: some detected instance of type a and some detected instance
 // of type b satisfy it. Hallucinated detections (negative IDs) participate,
-// as they would in a real pipeline.
-func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frame int) bool {
-	da := det.FrameDetections(v, a, frame)
-	if len(da) == 0 {
+// as they would in a real pipeline. The detections are read columnar into
+// the caller's scratch batches ea and eb (reset on entry), so a per-frame
+// loop allocates nothing once the batches are warm.
+func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frame int, ea, eb *Events) bool {
+	ea.Reset()
+	AppendFrameEvents(det, v, a, frame, ea)
+	if ea.Len() == 0 {
 		return false
 	}
-	db := det.FrameDetections(v, b, frame)
-	if len(db) == 0 {
+	eb.Reset()
+	AppendFrameEvents(det, v, b, frame, eb)
+	if eb.Len() == 0 {
 		return false
 	}
-	for _, ia := range da {
-		xa := PositionOf(v.ID(), ia.TrackID, frame)
-		for _, ib := range db {
-			if ia.TrackID == ib.TrackID {
+	for _, ta := range ea.Tracks {
+		xa := PositionOf(v.ID(), int(ta), frame)
+		for _, tb := range eb.Tracks {
+			if ta == tb {
 				continue
 			}
-			if rel.holds(xa, PositionOf(v.ID(), ib.TrackID, frame)) {
+			if rel.holds(xa, PositionOf(v.ID(), int(tb), frame)) {
 				return true
 			}
 		}

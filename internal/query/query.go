@@ -1,9 +1,10 @@
 // Package query is the one statement executor: serve's /query and
 // /query/batch, the svq CLI, the sqlshell example and the in-process
 // cluster shard all hand it a parsed sqlq.Plan. The plan's shape picks the
-// algorithm — SVAQ/SVAQD (core.Engine.Run) for a streaming conjunction,
-// RunCNF for an extended streaming statement, RVAQ or RVAQCNF for a ranked
-// one — so a statement has one answer whichever surface serves it.
+// algorithm — SVAQ/SVAQD (core.Engine.Run, or RunCNF for an extended
+// statement: the same planned, budgeted loop) for a streaming statement,
+// RVAQ or RVAQCNF for a ranked one — so a statement has one answer
+// whichever surface serves it.
 //
 // The executor also owns the source catalog. A PROCESS source names a
 // stream of the synthetic benchmark datasets: q1..q12 are the YouTube query
@@ -56,8 +57,8 @@ type Request struct {
 	Algo string
 	// K, when positive, overrides a ranked statement's LIMIT.
 	K int
-	// Budget, when positive, caps a basic online statement's simulated
-	// inference spend.
+	// Budget, when positive, caps an online statement's simulated inference
+	// spend.
 	Budget time.Duration
 	// Index, when set, answers ranked statements (a loaded repository or a
 	// shard) instead of the catalog's lazily ingested sources.
@@ -113,16 +114,22 @@ type Answer struct {
 
 	// The engine's own result, for surfaces that print its diagnostics:
 	// exactly one is set unless a shard answered a vocabulary miss empty.
-	Online *core.Result         `json:"-"`
-	CNF    *core.ExtendedResult `json:"-"`
-	Ranked *rank.Result         `json:"-"`
+	Online *core.Result `json:"-"`
+	Ranked *rank.Result `json:"-"`
 }
 
 // BadRequestError is a statement or request knob the executor refuses;
-// HTTP surfaces answer it with 400.
-type BadRequestError struct{ Msg string }
+// HTTP surfaces answer it with 400. Err, when set, is the underlying
+// client error.
+type BadRequestError struct {
+	Msg string
+	Err error
+}
 
 func (e *BadRequestError) Error() string { return e.Msg }
+
+// Unwrap exposes the underlying client error to errors.As.
+func (e *BadRequestError) Unwrap() error { return e.Err }
 
 // NotFoundError is a PROCESS source the catalog does not know; HTTP
 // surfaces answer it with 404.
@@ -161,8 +168,6 @@ func check(p sqlq.Plan, r Request) error {
 		return badRequest("query: an inference budget (budget_ms) of %v must not be negative", r.Budget)
 	case p.Online && r.K != 0:
 		return badRequest("query: k overrides a ranked statement's LIMIT; this statement is online")
-	case p.Online && p.Extended && r.Budget != 0:
-		return badRequest("query: an inference budget (budget_ms) is not honoured by extended (OR group or relation) online statements")
 	case !p.Online && r.Algo != "":
 		return badRequest("query: algo selects an online algorithm; this statement is ranked")
 	case !p.Online && r.Budget != 0:
@@ -216,16 +221,12 @@ func (e *Executor) online(ctx context.Context, p sqlq.Plan, r Request, a *Answer
 		return err
 	}
 	a.Mode = eng.Mode().String()
+	var res *core.Result
 	if p.Extended {
-		res, err := eng.RunCNF(ctx, stream, p.CNF)
-		if err != nil {
-			return err
-		}
-		a.CNF, a.NumClips, a.FlaggedClips = res, res.NumClips, res.Flagged.TotalLen()
-		a.Sequences = Sequences(res.Sequences, res.Geometry)
-		return nil
+		res, err = eng.RunCNF(ctx, stream, p.CNF)
+	} else {
+		res, err = eng.Run(ctx, stream, p.Query)
 	}
-	res, err := eng.Run(ctx, stream, p.Query)
 	if err != nil {
 		return err
 	}
@@ -256,8 +257,13 @@ func (e *Executor) ranked(ctx context.Context, p sqlq.Plan, r Request, a *Answer
 	}
 	if err != nil {
 		var miss *rank.NotIngestedError
-		if !e.cfg.Shard || !errors.As(err, &miss) {
+		if !errors.As(err, &miss) {
 			return err
+		}
+		if !e.cfg.Shard {
+			// Nothing was ever ingested under the name: a typo, not a
+			// server fault.
+			return &BadRequestError{Msg: err.Error(), Err: err}
 		}
 		// Record the empty top-k stage so an assembled cluster trace shows
 		// why this shard contributed nothing.

@@ -76,7 +76,8 @@ func TestExecuteConcurrent(t *testing.T) {
 }
 
 // TestShardVocabularyMiss: only a shard answers a ranked statement naming
-// a type it never ingested empty, with the empty rank.topk stage traced.
+// a type it never ingested empty, with the empty rank.topk stage traced; a
+// monolith refuses it as a bad request wrapping the NotIngestedError.
 func TestShardVocabularyMiss(t *testing.T) {
 	ix, err := newExecutor(false).index(context.Background(), "titanic")
 	if err != nil {
@@ -84,8 +85,9 @@ func TestShardVocabularyMiss(t *testing.T) {
 	}
 	p := mustPlan(t, `SELECT MERGE(clipID) AS s, RANK(act, obj) FROM (PROCESS repo PRODUCE clipID, obj USING ObjectDetector, act USING ActionRecognizer) WHERE act='no_such_action' AND obj.include('boat') ORDER BY RANK(act, obj) LIMIT 3`)
 	var miss *rank.NotIngestedError
-	if _, err := newExecutor(false).Execute(context.Background(), p, Request{Index: ix}); !errors.As(err, &miss) {
-		t.Fatalf("monolith: err = %v, want NotIngestedError", err)
+	var bad *BadRequestError
+	if _, err := newExecutor(false).Execute(context.Background(), p, Request{Index: ix}); !errors.As(err, &miss) || !errors.As(err, &bad) {
+		t.Fatalf("monolith: err = %v, want a BadRequestError wrapping NotIngestedError", err)
 	}
 	trace := obs.NewTrace("0123456789abcdef")
 	a, err := newExecutor(true).Execute(obs.WithTrace(context.Background(), trace), p, Request{Index: ix})

@@ -46,7 +46,7 @@ func TestRequestKnobs(t *testing.T) {
 		{"/query", "extended", knob{"algo", "svaq"}, 200, func(r QueryResponse) bool { return r.Mode == "SVAQ" }},
 		{"/query", "extended", knob{"algo", "rvaq"}, 400, nil},
 		{"/query", "extended", knob{"k", 3}, 400, nil},
-		{"/query", "extended", knob{"budget_ms", 1}, 400, nil},
+		{"/query", "extended", knob{"budget_ms", 1}, 200, func(r QueryResponse) bool { return r.FlaggedClips > 0 }},
 		{"/query", "ranked", knob{}, 200, func(r QueryResponse) bool { return r.K == 3 }},
 		{"/query", "ranked", knob{"k", 5}, 200, func(r QueryResponse) bool { return r.K == 5 }},
 		{"/query", "ranked", knob{"k", -1}, 400, nil},

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"svqact/internal/obs"
 	"svqact/internal/rank"
 	"svqact/internal/store"
 	"svqact/internal/video"
@@ -53,6 +57,40 @@ func buildRepoDir(t *testing.T) string {
 		}
 	}
 	return dir
+}
+
+// TestRepoRankedTypoIsBadRequest: a ranked statement naming a type the
+// repository never ingested is the client's typo — 400 naming the type,
+// logged as bad_request, and never retained as an error trace.
+func TestRepoRankedTypoIsBadRequest(t *testing.T) {
+	var logs bytes.Buffer
+	traces := obs.NewTraceStore(obs.TraceStoreConfig{})
+	srv := New(Config{Scale: 0.05, Seed: 1, RepoDir: buildRepoDir(t),
+		Logger: slog.New(slog.NewJSONHandler(&logs, nil)), Traces: traces})
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, body := post(t, ts.URL+"/query", QueryRequest{SQL: strings.Replace(repoSQL, "act='jumping'", "act='swimming'", 1)})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "swimming") {
+		t.Fatalf("status %d, want 400 naming the type: %s", resp.StatusCode, body)
+	}
+	var outcome string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "query" {
+			outcome, _ = rec["outcome"].(string)
+		}
+	}
+	if outcome != "bad_request" {
+		t.Errorf("query logged with outcome %q, want bad_request:\n%s", outcome, logs.String())
+	}
+	for _, e := range traces.Index() {
+		if e.Outcome == "error" || e.Reason == "error" {
+			t.Errorf("typo retained as an error trace: %+v", e)
+		}
+	}
 }
 
 func TestRepoServingAndReload(t *testing.T) {

@@ -372,15 +372,15 @@ type QueryRequest struct {
 	// top-k from a shard during distributed-threshold refinement without
 	// rewriting the SQL text.
 	K int `json:"k,omitempty"`
-	// BudgetMS, when positive, caps this basic online query's simulated
+	// BudgetMS, when positive, caps this online query's simulated
 	// inference spend (overriding the server's -budget default). Past the
 	// budget the query degrades gracefully — remaining clips are
 	// skipped-and-flagged and the plan report carries the budget block —
 	// instead of erroring.
 	//
 	// A knob the statement's shape does not honour (algo on a ranked
-	// statement, k on an online one, budget_ms on an extended or ranked
-	// one) is rejected with 400, as is any unknown field.
+	// statement, k on an online one, budget_ms on a ranked one) is
+	// rejected with 400, as is any unknown field.
 	BudgetMS float64 `json:"budget_ms,omitempty"`
 }
 

@@ -201,6 +201,29 @@ func TestServerInferenceBudgetDefault(t *testing.T) {
 	}
 }
 
+// TestServerInferenceBudgetExtended: the server-level InferenceBudget caps
+// an extended (OR group) statement too — it degrades with flagged clips
+// instead of running unbudgeted.
+func TestServerInferenceBudgetExtended(t *testing.T) {
+	srv := httptest.NewServer(New(Config{Scale: 0.05, Seed: 42, InferenceBudget: time.Millisecond}).Handler())
+	defer srv.Close()
+	resp, body := post(t, srv.URL+"/query", QueryRequest{SQL: `SELECT MERGE(clipID) AS s FROM (PROCESS q2 PRODUCE clipID)
+WHERE (act='blowing_leaves' OR act='kneeling') AND obj.include('car')`})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if !qr.Extended || qr.FlaggedClips == 0 {
+		t.Errorf("server default budget not applied to the OR group: %s", body)
+	}
+	if qr.Plan == nil || qr.Plan.Budget == nil || !qr.Plan.Budget.Exhausted {
+		t.Errorf("extended answer lacks an exhausted budget block: %s", body)
+	}
+}
+
 func metricsText(t *testing.T, srv *httptest.Server) string {
 	t.Helper()
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -98,7 +98,7 @@ type Plan struct {
 	Online bool
 	// Extended marks statements beyond the basic one-action conjunction
 	// (OR groups, multiple actions, relations); they run through the
-	// engine's CNF path.
+	// engine's RunCNF entry into the same evaluation loop.
 	Extended bool
 	// Explain asks the caller to surface the predicate-ordering plan the
 	// execution ran with (EXPLAIN prefix).

@@ -32,9 +32,12 @@ echo "==> tier-invariance property suite (-race, -count=1)"
 # cascades — any tier mode, any predicate order, online or offline — must
 # be bit-identical to running the accurate models alone, and a too-small
 # inference budget must degrade (skip-and-flag) instead of erroring. The
-# full suite above already runs these, but a dedicated uncached pass keeps
-# the contract visible and immune to test caching.
-go test -race -count=1 -run 'TierInvariance|InferenceBudget|OfflineIngestIdenticalUnderCascade|ReportUnderConcurrentTierObservation' \
+# one-loop contract rides along: Run(q) must equal RunCNF(FromQuery(q)) bit
+# for bit, and permuting an extended query's clauses and atoms must not
+# change its answer. The full suite above already runs these, but a
+# dedicated uncached pass keeps the contracts visible and immune to test
+# caching.
+go test -race -count=1 -run 'TierInvariance|InferenceBudget|OfflineIngestIdenticalUnderCascade|ReportUnderConcurrentTierObservation|RunMatchesRunCNF|CNFPermutationInvariance' \
   ./internal/core/ ./internal/rank/ ./internal/plan/
 
 echo "==> critical-value contract (-count=1)"

@@ -323,9 +323,10 @@ func run() error {
 }
 
 // cascadePhase proves the tiered-cascade serving surface end to end: a
-// -cascade server answers a budget-capped query by degrading (clips
-// skipped and flagged, budget block honest, HTTP 200), and /metrics shows
-// the per-tier detector counters and the budget families moving.
+// -cascade server answers a budget-capped query — basic or an OR group —
+// by degrading (clips skipped and flagged, budget block honest, HTTP 200),
+// and /metrics shows the per-tier detector counters and the budget
+// families moving.
 func cascadePhase(bins map[string]string) error {
 	cmd := exec.Command(bins["serve"], "-addr", "127.0.0.1:0", "-scale", "0.05", "-cascade")
 	stderr, err := cmd.StderrPipe()
@@ -424,6 +425,25 @@ func cascadePhase(bins map[string]string) error {
 		}
 	}
 
+	// An extended statement runs the same budgeted loop.
+	orGroup := `{"sql": "SELECT MERGE(clipID) AS s FROM (PROCESS q2 PRODUCE clipID) WHERE (act='blowing_leaves' OR act='kneeling') AND obj.include('car')", "budget_ms": 200}`
+	resp, err = http.Post(base+"/query", "application/json", strings.NewReader(orGroup))
+	if err != nil {
+		return err
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("budget-capped OR group must degrade, got status %d: %s", resp.StatusCode, body)
+	}
+	qr.FlaggedClips, qr.Plan = 0, nil
+	if err := json.Unmarshal(body, &qr); err != nil {
+		return fmt.Errorf("OR-group response not JSON: %v", err)
+	}
+	if qr.Plan == nil || qr.Plan.Budget == nil || !qr.Plan.Budget.Exhausted || qr.FlaggedClips == 0 {
+		return fmt.Errorf("budget-capped OR group did not degrade: %s", body)
+	}
+
 	mresp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return err
@@ -446,7 +466,7 @@ func cascadePhase(bins map[string]string) error {
 			return fmt.Errorf("series %s = %v, want > 0 after a cascade query", nonzero, v)
 		}
 	}
-	fmt.Println("smoke: cascade OK (budget-capped query degraded with tier metrics moving)")
+	fmt.Println("smoke: cascade OK (budget-capped basic and OR-group queries degraded with tier metrics moving)")
 	return nil
 }
 
